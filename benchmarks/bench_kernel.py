@@ -1,8 +1,8 @@
 """Micro-benchmarks of the simulation substrate itself.
 
 These bound the cost of the hot paths every figure regeneration leans on:
-raw event dispatch, processor-sharing completions, and fluid-link
-transmissions.  Useful for catching performance regressions in the kernel
+raw event dispatch, processor-sharing completions, fluid-link
+transmissions, and timeout cancellation.  Useful for catching performance regressions in the kernel
 (the full figure suite runs ~10^7 events).
 """
 
@@ -51,29 +51,36 @@ def run_link_transmissions(n):
     return done[0]
 
 
-def run_idle_timeout_storm(n, wheel=True):
+def run_timeout_cancel_storm(n):
     """httpd-4096 idle-timeout storm (mirrors repro.core.perf).
 
-    4096 standing 15 s idle-reap deadlines; every batch of arrivals
-    pushes its connections' deadlines back out via ``Timer.rearm``.  The
-    cancel-heavy path the timing wheel exists for — ``wheel=False``
-    measures the heap-only baseline (tombstone + compaction).
+    4096 standing 15 s idle-reap timeouts; every batch of arrivals
+    pushes its connections' deadlines back out with the race-loser
+    pattern of repro.net.tcp: ``Timeout.cancel()`` (a heap tombstone,
+    reclaimed by amortised compaction) plus a fresh ``sim.timeout``.
     """
-    sim = Simulator(wheel=wheel)
+    sim = Simulator()
     conns, batch, interval, idle = 4096, 128, 0.25, 15.0
     reaped = [0]
 
-    def reap(i):
+    def reap(_event):
         reaped[0] += 1
 
-    timers = [sim.schedule_timer(idle, reap, i) for i in range(conns)]
+    def arm():
+        timeout = sim.timeout(idle)
+        timeout.callbacks.append(reap)
+        return timeout
+
+    timers = [arm() for _ in range(conns)]
     state = [0, 0]
 
     def driver():
         pos, done = state
         take = batch if batch <= n - done else n - done
         for k in range(pos, pos + take):
-            timers[k % conns].rearm(idle)
+            i = k % conns
+            timers[i].cancel()
+            timers[i] = arm()
         state[0] = (pos + take) % conns
         state[1] = done + take
         if state[1] < n:
@@ -102,7 +109,7 @@ def test_link_fluid_transmissions(benchmark):
     assert result == n
 
 
-def test_kernel_idle_timeout_storm(benchmark):
+def test_kernel_timeout_cancel_storm(benchmark):
     n = 60_000
-    result = benchmark(run_idle_timeout_storm, n)
+    result = benchmark(run_timeout_cancel_storm, n)
     assert result == n

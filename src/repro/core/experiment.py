@@ -145,7 +145,7 @@ class Experiment:
         server = build_server(self.server, sim, machine, listener)
         server.start()
 
-        fluid = self._effective_fluid()
+        fluid = self.workload.fluid
         if fluid is not None:
             from ..workload.fluid import FluidLoadGenerator
 
@@ -227,26 +227,6 @@ class Experiment:
             server_stats=stats,
             **tracer_kwargs,
         )
-
-    def _effective_fluid(self):
-        """The fluid config after the ``REPRO_FLUID`` env override.
-
-        ``"1"`` forces a default fluid population on, ``"0"`` forces the
-        discrete generator; unset defers to ``workload.fluid``.  Same
-        gating discipline as ``REPRO_NO_WHEEL``: the override selects an
-        execution strategy, never a different experiment (the equivalence
-        tests pin that).
-        """
-        import os
-
-        env = os.environ.get("REPRO_FLUID", "").strip()
-        if env == "0":
-            return None
-        if env == "1" and self.workload.fluid is None:
-            from ..workload.fluid import FluidConfig
-
-            return FluidConfig()
-        return self.workload.fluid
 
     # -- convenience ---------------------------------------------------------
     def describe(self) -> str:

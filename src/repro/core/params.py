@@ -130,10 +130,8 @@ class WorkloadSpec:
     httperf: HttperfConfig = field(default_factory=HttperfConfig)
     ramp: Optional[float] = None  # client start stagger; default: warmup/2
     #: Aggregated fluid client population (million-client scale mode);
-    #: ``None`` = the discrete per-client generator.  ``REPRO_FLUID=1``
-    #: forces a default :class:`~repro.workload.fluid.FluidConfig` on,
-    #: ``REPRO_FLUID=0`` forces discrete — the same env-gate discipline
-    #: as the timing wheel's ``REPRO_NO_WHEEL``.
+    #: ``None`` = the discrete per-client generator.  Part of the spec,
+    #: so the store key covers it.
     fluid: Optional[FluidConfig] = None
 
     def __post_init__(self) -> None:

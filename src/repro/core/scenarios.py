@@ -113,8 +113,8 @@ PROFILES: Dict[str, MeasurementProfile] = {
     "full": MeasurementProfile(
         "full", PAPER_CLIENT_RANGE, duration=30.0, warmup=20.0
     ),
-    # Scale: the fluid-population sweep (pair with WorkloadSpec.fluid or
-    # REPRO_FLUID=1).  The window must outlast the 10 s client-timeout
+    # Scale: the fluid-population sweep (pair with WorkloadSpec.fluid, or
+    # --fluid on the command line).  The window must outlast the 10 s client-timeout
     # abandon ladder, or overflow abandonments land past the end of the
     # run and timeout/s under-reports.
     "scale": MeasurementProfile(

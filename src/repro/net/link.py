@@ -13,13 +13,10 @@ used in the paper's testbed.
 
 Timer routing: delivery timers always fire, so they use the kernel's
 non-cancellable fast paths — :meth:`Link.transmit` a pooled Timeout,
-:meth:`Link.transmit_call` a pooled bare callback.  Sub-tick delays (the
-uncongested common case) stay on the heap; under congestion, delivery
-times stretch past the wheel tick and the same calls are staged on the
-timing wheel automatically.  Cancellation pressure from transmissions
-that *race* these timers (SYN retransmits, response timeouts) lives at
-the call sites in :mod:`repro.net.tcp`, which true-cancel their losing
-pause timers.
+:meth:`Link.transmit_call` a pooled bare callback.  Cancellation
+pressure from transmissions that *race* these timers (SYN retransmits,
+response timeouts) lives at the call sites in :mod:`repro.net.tcp`,
+which cancel their losing pause timers.
 """
 
 from __future__ import annotations

@@ -178,8 +178,8 @@ class Connection:
             pause = self.sim.timeout(max(0.0, wait_until - self.sim.now))
             yield self.sim.any_of([self._established_ev, pause])
             if self.established:
-                # The retransmit pause lost the race: unlink it from the
-                # wheel (its only callback is the settled any_of check).
+                # The retransmit pause lost the race: cancel it (its only
+                # callback is the settled any_of check).
                 pause.cancel()
                 self.established_at = self.sim.now
                 return self.established_at - self.connect_started

@@ -17,12 +17,8 @@ an armed timer can fire early but never late — it is left in place unless
 the new burst becomes the earliest finisher.  This keeps re-arms (and
 their allocations) down to roughly one per completion, which matters: the
 CPU station is on the hot path of every simulated request.  A superseded
-*long-horizon* timer (>= one wheel tick out, common on heavily shared
-stations where finish times stretch to seconds) is cancelled outright via
-the kernel's :meth:`~repro.sim.core.Timer.cancel` — an O(1) wheel unlink —
-instead of lingering until its stale generation fires; sub-tick timers
-keep the plain bare-callback path plus the generation check, which is
-cheaper than a handle at microsecond horizons.
+timer is never cancelled: it fires as a no-op, rejected by the generation
+check, which is cheaper than keeping a cancellable handle per arm.
 
 SMP efficiency
 --------------
@@ -67,7 +63,6 @@ class CPU:
         "_seq",
         "_timer_gen",
         "_timer_armed",
-        "_timer",
         "busy_time",
         "total_cost",
         "bursts",
@@ -100,7 +95,6 @@ class CPU:
         self._seq = 0
         self._timer_gen = 0
         self._timer_armed = False
-        self._timer = None  # Timer handle when the arm went to the wheel
 
         # Accounting.
         self.busy_time = 0.0  # integral of occupied capacity over time
@@ -234,12 +228,6 @@ class CPU:
     def _arm_timer(self) -> None:
         """(Re-)arm the completion timer for the earliest virtual finish."""
         self._timer_gen += 1
-        timer = self._timer
-        if timer is not None:
-            # The superseded arm sat on the wheel: unlink it now instead
-            # of letting a stale-generation no-op fire later.
-            timer.cancel()
-            self._timer = None
         if not self._heap:
             self._timer_armed = False
             return
@@ -253,13 +241,9 @@ class CPU:
             delay = 0.0
         # Bare-callback scheduling: re-arms happen about once per
         # completion, so skipping the Timeout + lambda + callbacks-list
-        # allocation here is a measurable kernel win.  Long horizons take
-        # the cancellable wheel path; the generation check still guards
-        # the sub-tick heap path (and any timer that fires early).
-        if delay >= self.sim._wheel_tick:
-            self._timer = self.sim.schedule_timer(delay, self._on_timer, gen)
-        else:
-            self.sim.call_later(delay, self._on_timer, gen)
+        # allocation here is a measurable kernel win.  The generation
+        # check retires superseded arms (and any timer that fires early).
+        self.sim.call_later(delay, self._on_timer, gen)
         self._timer_armed = True
 
     def _on_timer(self, gen: int) -> None:

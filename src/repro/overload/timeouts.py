@@ -14,8 +14,8 @@ badly the resources are actually needed.
 
 This class only *computes* deadlines; the timers themselves are armed at
 the consuming call sites (``server_recv`` idle pauses, the event-driven
-sweeper) and ride the kernel timing wheel, where the common case — a
-request arriving before the adaptive deadline — is an O(1) true cancel.
+sweeper) as kernel timeouts, where the common case — a request arriving
+before the adaptive deadline — is a cancel that leaves a heap tombstone.
 Tightening the timeout under pressure therefore changes only *when*
 reaps fire, never the cost of the (far more numerous) cancels.
 """

@@ -11,9 +11,9 @@ of serving a request), letting it overlap with the loop's protocol work;
 on a multiprocessor the helpers run in parallel with the loop.
 
 Timer routing: like the other event-driven loop, AMPED holds no thread on
-an idle client and arms no reap timers of its own; its timing-wheel
-traffic is the shared TCP client-path pauses (SYN retransmit, response
-timeouts), which are true-cancelled when their race settles.
+an idle client and arms no reap timers of its own; its timer traffic is
+the shared TCP client-path pauses (SYN retransmit, response timeouts),
+which are cancelled when their race settles.
 """
 
 from __future__ import annotations

@@ -74,10 +74,9 @@ class Server:
 
         The value (fixed or adaptive) flows into
         :meth:`~repro.net.tcp.Connection.server_recv`, whose pause timer
-        rides the kernel's timing wheel: the overwhelmingly common case —
-        a request arriving before the reap deadline — cancels the timer
-        with an O(1) unlink, so idle reaping scales to thousands of
-        connections without growing the event heap.
+        is a kernel timeout: the overwhelmingly common case — a request
+        arriving before the reap deadline — cancels it, and heap
+        compaction keeps those tombstones from growing the event heap.
         """
         return self.overload.idle_timeout(default, self.pressure())
 

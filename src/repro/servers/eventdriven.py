@@ -16,12 +16,11 @@ Architecture, following the paper's description of its NIO server core:
 * being Java, all CPU costs carry the JVM factor (see
   ``CostModel.scaled``).
 
-Timer routing: with no per-connection reap timers, this architecture only
-touches the kernel timing wheel through the opt-in adaptive-timeout
-sweeper (its wake-up interval is >= one wheel tick, so the periodic
-timeout is wheel-staged) and through the shared TCP paths — client-side
-SYN-retransmit and response-timeout pauses, which true-cancel their
-losing timers when the race settles.
+Timer routing: with no per-connection reap timers, this architecture's
+only long timers are the opt-in adaptive-timeout sweeper's periodic
+wake-up and the shared TCP paths — client-side SYN-retransmit and
+response-timeout pauses, which cancel their losing timers when the race
+settles.
 """
 
 from __future__ import annotations

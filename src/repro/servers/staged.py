@@ -17,10 +17,10 @@ a per-connection writer lock, mirroring SEDA's per-stage event ordering.
 Being a Java design, costs carry the JVM factor.
 
 Timer routing: stages hand off through queues and never block on
-per-connection timers, so the wheel traffic this architecture generates
+per-connection timers, so the timer traffic this architecture generates
 comes entirely from the shared TCP client paths (connect retransmit and
-response-timeout races, both of which cancel their losing pause with an
-O(1) wheel unlink) and the opt-in adaptive sweeper in the selector loop.
+response-timeout races, both of which cancel their losing pause) and the
+opt-in adaptive sweeper in the selector loop.
 """
 
 from __future__ import annotations

@@ -10,11 +10,9 @@ from .core import (
     SimulationError,
     Simulator,
     Timeout,
-    Timer,
 )
 from .resources import Resource, Store, StoreFull
 from .rng import RandomStreams
-from .wheel import TimingWheel
 
 __all__ = [
     "AllOf",
@@ -26,8 +24,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "Timer",
-    "TimingWheel",
     "Resource",
     "Store",
     "StoreFull",

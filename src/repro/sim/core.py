@@ -29,20 +29,12 @@ Design notes
     resume — create an :class:`Event` or keep a condition for that.
   - ``run()`` inlines the dispatch loop; :meth:`Simulator.step` is the
     single-event reference implementation of the same logic.
-  - Timers at least one wheel tick out (0.5 s by default) are staged on a
-    hierarchical timing wheel (:mod:`repro.sim.wheel`) instead of the
-    heap: O(1) schedule and — via :meth:`Timeout.cancel`,
-    :meth:`Simulator.schedule_timer`, and the interrupt path — O(1) true
-    cancel with no tombstone.  Due wheel slots are flushed *into* the
-    heap, keys intact, before dispatch can pass them, so the wheel never
-    reorders anything.  Set ``REPRO_NO_WHEEL=1`` (or construct
-    ``Simulator(wheel=False)``) for the heap-only kernel; both modes
-    dispatch the identical event sequence.
-  - Cancelled entries that must stay heap-resident (sub-tick or
-    already-flushed timers) become tombstones; the heap is compacted in
-    place once tombstones exceed half the live entries (see
-    ``tombstones_compacted``), so cancel-heavy runs no longer grow the
-    heap without bound.
+  - Cancellation is lazy: :meth:`Timeout.cancel` and the interrupt
+    path clear the entry's callbacks and leave it in the heap as a
+    tombstone that pops as a no-op.  The heap is compacted in place once
+    tombstones exceed half the live entries (see
+    ``tombstones_compacted``), so cancel-heavy runs do not grow the heap
+    without bound.
 
   None of the fast paths changes scheduling order: every former push maps
   one-to-one onto a push with the same sequence number, so tie-breaking
@@ -60,17 +52,12 @@ Design notes
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from .turbo.core_hot import route_callback, route_timeout
-from .wheel import TimingWheel
 
 __all__ = [
     "Event",
     "Timeout",
-    "Timer",
     "Process",
     "Condition",
     "AnyOf",
@@ -91,26 +78,6 @@ _PENDING = object()
 #: Cap on the per-simulator free lists (steady-state working sets are
 #: tiny; the cap only bounds pathological churn).
 _POOL_MAX = 1024
-
-#: Marks a cancelled timer (Timeout._node).  Distinct from None, which
-#: means "heap-resident and live".
-_DEAD = object()
-
-#: Minimum wheel-slot flush size that takes the vectorized bulk-firing
-#: path (numpy lexsort into a presorted batch array) instead of
-#: per-entry heappushes.  Below this the fixed cost of building the
-#: sort arrays exceeds the saved log-factor; the value is deliberately
-#: conservative — order is identical either way, only speed differs.
-_BATCH_MIN = 48
-
-
-def _noop(*_args: Any) -> None:
-    """Target swapped into a cancelled heap-resident callback entry.
-
-    The entry still pops (keeping its sequence-number slot in the
-    dispatch order) but does nothing; compaction recognises ``fn is
-    _noop`` and reclaims the entry early.
-    """
 
 
 class _Callback:
@@ -221,15 +188,12 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` time units after creation.
 
-    Short delays (below the wheel tick) go straight onto the heap; longer
-    ones are staged on the timing wheel, which makes :meth:`cancel` a
-    true O(1) unlink for the overwhelmingly common case of idle-reap /
-    retransmit / race-loser timers that never fire.  ``_node`` tracks
-    where the entry lives: ``None`` = heap, a wheel node = wheel,
-    ``_DEAD`` = cancelled.
+    ``_cancelled`` marks a timeout withdrawn by :meth:`cancel` (or by the
+    interrupt path): it stays in the heap as a tombstone until it pops
+    or compaction reclaims it.
     """
 
-    __slots__ = ("_node",)
+    __slots__ = ("_cancelled",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -243,139 +207,27 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self._pooled = False
+        self._cancelled = False
         sim._seq = seq = sim._seq + 1
-        when = sim._now + delay
-        if delay < sim._wheel_tick:
-            self._node = None
-            heappush(sim._heap, (when, seq, self))
-        else:
-            route_timeout(sim, self, when, seq)
+        heappush(sim._heap, (sim._now + delay, seq, self))
 
     def cancel(self) -> bool:
         """Cancel a timeout that is guaranteed not to be observed firing.
 
-        Returns True if the timeout was still pending dispatch.  Wheel
-        residents are unlinked outright (O(1), no trace left); heap
-        residents have their callback list cleared and pop later as a
-        tombstone (reclaimed early by compaction when tombstones pile
-        up).  Contract: the caller must ensure nothing would observe the
+        Returns True if the timeout was still pending dispatch.  The
+        callback list is cleared and the entry pops later as a tombstone
+        (reclaimed early by compaction when tombstones pile up).
+        Contract: the caller must ensure nothing would observe the
         firing — the canonical site is the *losing* timeout of a settled
         ``any_of`` race, whose only callback is a dead condition check.
         """
-        node = self._node
-        if node is _DEAD:
-            return False
-        if node is not None:
-            self._node = _DEAD
-            self.sim._wheel.unlink(node)
-            return True
         callbacks = self.callbacks
-        if callbacks is None:
-            return False  # already processed
+        if self._cancelled or callbacks is None:
+            return False  # already cancelled or processed
         callbacks.clear()
-        self._node = _DEAD
+        self._cancelled = True
         self.sim._note_tombstone()
         return True
-
-
-class Timer:
-    """Cancellable handle for a bare scheduled callback.
-
-    Returned by :meth:`Simulator.schedule_timer` — the cancellable
-    sibling of :meth:`Simulator.call_later`.  The callback itself is the
-    same zero-Event fast path; the handle adds O(1) :meth:`cancel` by
-    tracking where the entry currently lives (wheel node, heap entry, or
-    already dead).  ``_run`` is the scheduled target: it marks the timer
-    dead *before* invoking the user callback so a ``cancel()`` after
-    firing can never corrupt a recycled heap entry.
-    """
-
-    __slots__ = ("sim", "fn", "args", "_node", "_entry", "_dead")
-
-    def __init__(self, sim: "Simulator", fn: Callable[..., Any], args: Any) -> None:
-        self.sim = sim
-        self.fn = fn
-        self.args = args
-        self._node = None
-        self._entry: Optional[_Callback] = None
-        self._dead = False
-
-    @property
-    def active(self) -> bool:
-        """True while the callback has neither fired nor been cancelled."""
-        return not self._dead
-
-    def cancel(self) -> bool:
-        """Cancel the pending callback; True if it had not fired yet."""
-        if self._dead:
-            return False
-        self._dead = True
-        node = self._node
-        if node is not None:
-            self._node = None
-            self.sim._wheel.unlink(node)
-            return True
-        entry = self._entry
-        if entry is not None:
-            # Heap-resident: neutralise the entry in place.  It still
-            # pops (sequence slot preserved) but runs _noop; compaction
-            # reclaims it early if tombstones accumulate.
-            self._entry = None
-            entry.fn = _noop
-            entry.args = ()
-            self.sim._note_tombstone()
-        return True
-
-    def rearm(self, delay: float, *args: Any) -> "Timer":
-        """Re-schedule this timer ``delay`` from now, superseding any
-        pending firing.
-
-        This is the one-call form of the paper's dominant timer pattern:
-        every request on a kept-alive connection pushes the idle-reap
-        deadline back out, so the timer is *moved* thousands of times for
-        every time it fires.  A wheel-resident timer relocates its node
-        in place — one unlink plus one link, no Timer, node, or heap
-        entry allocated.  Fired, cancelled, or heap-resident timers fall
-        back to cancel + fresh placement.  A new sequence number is
-        consumed either way, exactly as cancel + ``schedule_timer``
-        would, so wheel and heap-only modes stay order-identical.
-
-        ``args`` (if given) replace the callback arguments.  Returns
-        ``self`` so call sites can write ``timer = timer.rearm(d)``
-        uniformly with first-time arming.
-        """
-        sim = self.sim
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        if args:
-            self.args = args
-        sim._seq = seq = sim._seq + 1
-        when = sim._now + delay
-        node = self._node
-        if node is not None:
-            # Live and wheel-resident — the hot path.
-            if delay >= sim._wheel_tick and sim._wheel.move(node, when, seq):
-                return self
-            # move() already unlinked on failure; a sub-tick target
-            # bypasses it and unlinks here.
-            if delay < sim._wheel_tick:
-                sim._wheel.unlink(node)
-            self._node = None
-        else:
-            entry = self._entry
-            if entry is not None:
-                self._entry = None
-                entry.fn = _noop
-                entry.args = ()
-                sim._note_tombstone()
-            self._dead = False
-        route_callback(sim, self, delay, when, seq)
-        return self
-
-    def _run(self) -> None:
-        self._dead = True
-        self._entry = None
-        self.fn(*self.args)
 
 
 class Interrupted(Exception):
@@ -456,29 +308,22 @@ class Process(Event):
         poke.callbacks.append(self._resume)
         sim._push(poke)
         self._target = poke
-        # True-cancel the abandoned wait when it is provably private: a
-        # plain yielded timeout whose sole callback is our now-stale
-        # _resume.  (The recycling contract already forbids model code
-        # from re-inspecting a yielded timeout, so nothing can observe
-        # the difference between "fired stale" and "never fired".)
-        # Anything shared — gates, conditions, user callbacks — keeps the
-        # lazy tombstone semantics: no O(waiters) scan.
+        # Cancel the abandoned wait when it is provably private: a plain
+        # yielded timeout whose sole callback is our now-stale _resume.
+        # (The recycling contract already forbids model code from
+        # re-inspecting a yielded timeout, so nothing can observe the
+        # difference between "fired stale" and "never fired".)  Anything
+        # shared — gates, conditions, user callbacks — keeps the lazy
+        # stale-wakeup semantics: no O(waiters) scan.
         if (
             type(target) is Timeout
             and target._pooled
             and target.callbacks is not None
             and len(target.callbacks) == 1
         ):
-            node = target._node
-            if node is not None and node is not _DEAD:
-                sim._wheel.unlink(node)
-                target._node = _DEAD
-                if len(sim._tpool) < _POOL_MAX:
-                    sim._tpool.append(target)
-            elif node is None:
-                target.callbacks.clear()
-                target._node = _DEAD
-                sim._note_tombstone()
+            target.callbacks.clear()
+            target._cancelled = True
+            sim._note_tombstone()
 
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -608,16 +453,6 @@ class Simulator:
 
     Entries are triggered :class:`Event` objects or internal
     :class:`_Callback` fast-path entries (see :meth:`call_later`).
-
-    Backend selection: constructing ``Simulator(...)`` directly returns
-    the active *kernel backend* — this pure-Python class, or
-    :class:`repro.sim.turbo.TurboSimulator` when the compiled dispatch
-    core is importable.  ``backend=`` (or the ``REPRO_KERNEL``
-    environment variable: ``python`` | ``turbo`` | ``auto``) pins the
-    choice per instance; both backends dispatch the identical event
-    sequence, so every RunMetrics row is byte-identical between them
-    (pinned by tests/test_turbo_backend.py and the backend matrix in
-    tests/test_wheel_equivalence.py).
     """
 
     __slots__ = (
@@ -626,69 +461,22 @@ class Simulator:
         "_seq",
         "_tpool",
         "_cbpool",
-        "_wheel",
-        "_wheel_tick",
-        "_batch",
-        "_batch_pos",
-        "_batch_min",
         "_tombstones",
         "tombstones_compacted",
     )
 
-    #: The bare-callback heap-entry class, exposed for the shared
-    #: routing helpers (repro.sim.turbo.core_hot) and the wheel.
-    _cb_class = _Callback
+    #: Read by ``perfbench/``, which predates the single kernel; remove
+    #: with those reads.
+    backend = "python"
+    wheel_enabled = False
 
-    #: Backend name reported by :attr:`backend`/:meth:`timer_stats`;
-    #: the compiled subclass overrides it.
-    _backend_name = "python"
-
-    def __new__(
-        cls,
-        wheel: Optional[bool] = None,
-        wheel_tick: float = 0.5,
-        backend: Optional[str] = None,
-    ) -> "Simulator":
-        # Backend dispatch happens only for the base class so that
-        # explicit `TurboSimulator()` / subclass construction is left
-        # alone.  Resolution order: explicit argument, then the
-        # REPRO_KERNEL environment variable, then auto-detection.
-        if cls is Simulator:
-            from .turbo import simulator_class
-
-            cls = simulator_class(backend)
-        return object.__new__(cls)
-
-    def __init__(
-        self,
-        wheel: Optional[bool] = None,
-        wheel_tick: float = 0.5,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._heap: list = []
         self._seq = 0
         #: Free lists: recycled Timeouts / bare-callback entries.
         self._tpool: list = []
         self._cbpool: list = []
-        # Timing wheel for cancellable long-horizon timers.  When
-        # disabled (wheel=False, or REPRO_NO_WHEEL=1 in the environment)
-        # the routing threshold becomes inf and every timer takes the
-        # heap path — the wheel object stays inert, so both modes run
-        # the same dispatch loop.
-        if wheel is None:
-            wheel = not os.environ.get("REPRO_NO_WHEEL")
-        self._wheel = TimingWheel(wheel_tick, _Callback)
-        self._wheel_tick = wheel_tick if wheel else float("inf")
-        #: Presorted bulk-flush staging (see _install_batch): entries
-        #: from a large wheel-slot flush wait here, already in (time,
-        #: seq) order, and the dispatch loop merges them with the heap
-        #: instead of paying one heappush+heappop per entry.
-        self._batch: list = []
-        self._batch_pos = 0
-        self._batch_min = (
-            float("inf") if os.environ.get("REPRO_NO_BATCH") else _BATCH_MIN
-        )
         #: Cancelled-but-heap-resident entries awaiting dispatch, and how
         #: many times compaction reclaimed them early.
         self._tombstones = 0
@@ -700,50 +488,22 @@ class Simulator:
         """Current simulated time (seconds by convention in this library)."""
         return self._now
 
-    @property
-    def backend(self) -> str:
-        """Kernel backend this instance runs on: ``python`` or ``turbo``."""
-        return self._backend_name
-
-    @property
-    def wheel_enabled(self) -> bool:
-        """True when long-horizon timers are routed to the timing wheel."""
-        return self._wheel_tick != float("inf")
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        when = self._heap[0][0] if self._heap else float("inf")
-        if self._batch_pos < len(self._batch):
-            batch_when = self._batch[self._batch_pos][0]
-            if batch_when < when:
-                when = batch_when
-        if self._wheel._count:
-            wheel_when = self._wheel.earliest()
-            if wheel_when < when:
-                when = wheel_when
-        return when
+        return self._heap[0][0] if self._heap else float("inf")
 
     def timer_stats(self) -> dict:
-        """Kernel timer counters (wheel traffic, tombstones, pool sizes).
+        """Kernel timer counters: heap size, tombstones, compactions.
 
-        Counter parity across backends is part of the turbo contract:
-        everything here except the ``backend`` tag itself must match
-        between ``python`` and ``turbo`` runs of the same model.
+        ``wheel_scheduled``/``wheel_cancelled`` are always 0; they are
+        kept for ``perfbench/``, which reads them.
         """
-        wheel = self._wheel
         return {
-            "backend": self._backend_name,
-            "wheel_enabled": self.wheel_enabled,
-            "wheel_scheduled": wheel.scheduled,
-            "wheel_cancelled": wheel.cancelled,
-            "wheel_flushed": wheel.flushed,
-            "wheel_cascaded": wheel.cascaded,
-            "wheel_batch_flushes": wheel.batch_flushes,
-            "wheel_pending": wheel._count,
             "heap_pending": len(self._heap),
-            "batch_pending": len(self._batch) - self._batch_pos,
             "tombstones": self._tombstones,
             "tombstones_compacted": self.tombstones_compacted,
+            "wheel_scheduled": 0,
+            "wheel_cancelled": 0,
         }
 
     # -- event factories ---------------------------------------------------
@@ -770,13 +530,9 @@ class Simulator:
             ev._ok = True
             ev._defused = False
             ev._pooled = False
+            ev._cancelled = False
             self._seq = seq = self._seq + 1
-            when = self._now + delay
-            if delay < self._wheel_tick:
-                ev._node = None
-                heappush(self._heap, (when, seq, ev))
-            else:
-                route_timeout(self, ev, when, seq)
+            heappush(self._heap, (self._now + delay, seq, ev))
             return ev
         return Timeout(self, delay, value)
 
@@ -801,7 +557,7 @@ class Simulator:
         :class:`Event` is allocated (no callbacks list, no value/failure
         bookkeeping) and the internal heap entry is recycled after it
         fires.  Use :meth:`timeout` plus ``callbacks.append`` when the
-        caller needs an event handle to wait on or compose.
+        caller needs an event handle to wait on, compose or cancel.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -815,31 +571,13 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._heap, (self._now + delay, seq, cb))
 
-    def schedule_timer(
-        self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> Timer:
-        """Like :meth:`call_later`, but returns a cancellable :class:`Timer`.
-
-        This is the API for the paper's dominant timer pattern — idle
-        reaps, retransmits, adaptive deadlines — where the timer is
-        re-armed or abandoned far more often than it fires.  Long delays
-        sit on the timing wheel (cancel = O(1) unlink); sub-tick delays
-        keep the plain heap path and cancel by neutralising the entry.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        timer = Timer(self, fn, args)
-        self._seq = seq = self._seq + 1
-        route_callback(self, timer, delay, self._now + delay, seq)
-        return timer
-
     # -- scheduling --------------------------------------------------------
     def _push(self, event: Event, delay: float = 0.0) -> None:
         self._seq = seq = self._seq + 1
         heappush(self._heap, (self._now + delay, seq, event))
 
     def _note_tombstone(self) -> None:
-        """Account one cancelled heap-resident entry; compact if due.
+        """Account one cancelled heap-resident timeout; compact if due.
 
         Compaction triggers when tombstones exceed half the live entries
         (3t > heap size  <=>  t > (heap - t) / 2) and rebuilds the heap
@@ -853,41 +591,11 @@ class Simulator:
             heap[:] = [
                 entry
                 for entry in heap
-                if not (
-                    entry[2]._node is _DEAD
-                    if type(entry[2]) is Timeout
-                    else (type(entry[2]) is _Callback and entry[2].fn is _noop)
-                )
+                if not (type(entry[2]) is Timeout and entry[2]._cancelled)
             ]
             heapify(heap)
             self._tombstones = 0
             self.tombstones_compacted += 1
-
-    def _install_batch(self, entries: list) -> None:
-        """Accept a presorted ``(time, seq, entry)`` run for dispatch.
-
-        Called by :meth:`TimingWheel.advance` after a bulk slot flush
-        (see ``_emit_batch``).  The entries are already in exact
-        ``(time, seq)`` order, so the dispatch loop can consume them by
-        advancing an index and merging against the heap top — O(1) per
-        event instead of a heappush *and* a heappop.  Mutates
-        ``self._batch`` in place: the inlined ``run()`` loop holds a
-        local reference to the list.
-
-        Entries are installed only into a drained batch.  The dispatch
-        loops guarantee that (the wheel is never advanced while batch
-        entries are pending, because every pending batch entry is due
-        before ``wheel._next``), but a re-entrant flush falls back to
-        per-entry heap insertion rather than merging two sorted runs.
-        """
-        batch = self._batch
-        if batch:
-            heap = self._heap
-            for entry in entries:
-                heappush(heap, entry)
-            return
-        batch[:] = entries
-        self._batch_pos = 0
 
     def step(self) -> None:
         """Process exactly one event.
@@ -895,41 +603,7 @@ class Simulator:
         Reference implementation of the dispatch logic that ``run()``
         inlines; behavioural changes must be mirrored there.
         """
-        heap = self._heap
-        batch = self._batch
-        if not batch:
-            # Flush the wheel before the heap-top could pass a due slot,
-            # so staged entries re-enter the total order in time.  A
-            # flush may install a bulk batch (mutating self._batch in
-            # place), in which case dispatch must consider it.
-            wheel = self._wheel
-            while not batch:
-                if heap:
-                    if heap[0][0] < wheel._next:
-                        break
-                    wheel.advance(heap[0][0], self)
-                elif wheel._count:
-                    wheel.advance(wheel._next, self)
-                else:
-                    break
-        if batch:
-            # Merge: dispatch whichever of heap top / batch head holds
-            # the smaller (time, seq) key.  Sequence numbers are unique,
-            # so the tuple compare never reaches the entry objects.
-            pos = self._batch_pos
-            head = batch[pos]
-            if heap and heap[0] < head:
-                when, _seq, event = heappop(heap)
-            else:
-                when, _seq, event = head
-                pos += 1
-                if pos == len(batch):
-                    del batch[:]
-                    self._batch_pos = 0
-                else:
-                    self._batch_pos = pos
-        else:
-            when, _seq, event = heappop(heap)
+        when, _seq, event = heappop(self._heap)
         self._now = when
         callbacks = event.callbacks
         if callbacks is None:
@@ -973,57 +647,13 @@ class Simulator:
         # point, so locals replace attribute lookups and the per-event
         # method call.  Keep in sync with step() above.
         heap = self._heap
-        wheel = self._wheel
         tpool = self._tpool
         cbpool = self._cbpool
-        batch = self._batch
         pop = heappop
-        while True:
-            if batch:
-                # Bulk-flush staging holds a presorted run of due
-                # entries, all earlier than every still-staged wheel
-                # entry: dispatch the smaller of batch head and heap
-                # top (unique seqs — the tuple compare never reaches
-                # the entry objects).  No wheel check is needed here:
-                # batch entries are strictly before wheel._next.
-                pos = self._batch_pos
-                head = batch[pos]
-                if heap and heap[0] < head:
-                    when = heap[0][0]
-                    if when > bound:
-                        break
-                    when, _seq, event = pop(heap)
-                else:
-                    when = head[0]
-                    if when > bound:
-                        break
-                    event = head[2]
-                    pos += 1
-                    if pos == len(batch):
-                        del batch[:]
-                        self._batch_pos = 0
-                    else:
-                        self._batch_pos = pos
-            elif heap:
-                when = heap[0][0]
-                if when >= wheel._next:
-                    # A wheel slot starts at or before the heap top:
-                    # flush it (and any earlier ones) into the heap
-                    # first so staged entries keep their place in the
-                    # total (time, seq) order.  _next is never
-                    # stale-high, so no flush can be missed.
-                    wheel.advance(when, self)
-                    continue
-                if when > bound:
-                    break
-                when, _seq, event = pop(heap)
-            elif wheel._count:
-                if wheel._next > bound:
-                    break
-                wheel.advance(wheel._next, self)
-                continue
-            else:
+        while heap:
+            if heap[0][0] > bound:
                 break
+            when, _seq, event = pop(heap)
             self._now = when
             callbacks = event.callbacks
             if callbacks is None:
@@ -1051,9 +681,7 @@ class Simulator:
     def run_process(self, proc: Process) -> Any:
         """Run until ``proc`` finishes; return its value or raise its error."""
         heap = self._heap
-        wheel = self._wheel
-        batch = self._batch
-        while (heap or batch or wheel._count) and proc._value is _PENDING:
+        while heap and proc._value is _PENDING:
             self.step()
         if proc._value is _PENDING:
             raise SimulationError(

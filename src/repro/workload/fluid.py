@@ -15,11 +15,11 @@ sources that keep O(classes + bins + budget) state:
   order never matters);
 * client-side waiting (ramp offsets, SYN-retry backoff, the 10 s abandon
   deadline, inter-session gaps) is aggregated into *cohorts* — counts in
-  bin-quantised batch timers scheduled through the kernel's timing wheel
-  — with inverse-CDF deterministic ramp offsets and vectorised numpy
-  draws from per-class RNG streams keyed ``fluid[<class>]`` off the run
-  seed (name-keyed like the cluster tier's replica streams, so streams
-  are independent of construction order);
+  bin-quantised batch timers, one bare kernel callback per bin — with
+  inverse-CDF deterministic ramp offsets and vectorised numpy draws from
+  per-class RNG streams keyed ``fluid[<class>]`` off the run seed
+  (name-keyed like the cluster tier's replica streams, so streams are
+  independent of construction order);
 * discrete events are emitted only where a connection touches the server
   boundary: up to ``budget`` sessions are *materialized* at a time as
   pooled, free-listed ``__slots__`` drivers running the unmodified
@@ -28,11 +28,10 @@ sources that keep O(classes + bins + budget) state:
   hitting a full backlog is charged to the SUT in one batch
   (:meth:`~repro.net.tcp.ListenSocket.drop_flood`).
 
-Equivalence contract (mirrors the timing wheel's ``REPRO_NO_WHEEL``
-gate): when the whole population fits the boundary budget (``n <=
-budget`` or ``budget is None``) the generator *pins* every client as a
-persistent discrete :class:`EmulatedClient` with the same per-client
-streams (``client[i]``), start offsets (``ramp * i / n``) and link
+Equivalence contract: when the whole population fits the boundary
+budget (``n <= budget`` or ``budget is None``) the generator *pins*
+every client as a persistent discrete :class:`EmulatedClient` with the
+same per-client streams (``client[i]``), start offsets (``ramp * i / n``) and link
 round-robin the discrete generator uses — runs are byte-identical to
 discrete mode as long as no class overrides its access link.  Beyond the
 budget the aggregate regime engages and equivalence is statistical; the
@@ -115,7 +114,7 @@ class FluidConfig:
     #: ``None`` = every client is pinned discrete (no aggregation).
     budget: Optional[int] = 4096
     #: Client-side batch-timer quantum: aggregate cohorts fire on
-    #: multiples of this, aligned with the kernel wheel's default tick.
+    #: multiples of this.
     bin_s: float = 0.5
 
     def __post_init__(self) -> None:
@@ -416,12 +415,7 @@ class FluidLoadGenerator:
         if idx not in self._scheduled:
             self._scheduled.add(idx)
             delay = idx * bin_s - now
-            # Batch timers ride the wheel when far enough out (one O(1)
-            # slot per bin); near bins take the bare-callback heap path.
-            if delay >= self.sim._wheel_tick:
-                self.sim.schedule_timer(delay, self._fire_bin, idx)
-            else:
-                self.sim.call_later(delay, self._fire_bin, idx)
+            self.sim.call_later(delay, self._fire_bin, idx)
 
     def _fire_bin(self, idx: int) -> None:
         """Process every cohort due in bin ``idx``."""

@@ -9,8 +9,8 @@ plus the stock SLOs), and require the aggregate row, every RunMetrics
 field, and every per-replica row to be *identical* — not approximately
 equal.  Any divergence means observability perturbed the simulation.
 
-Mirror of ``test_wheel_equivalence.py``, which pins the same property
-for the timing wheel.
+Mirror of ``test_kernel_row_digests.py``, which pins the same property
+for the kernel.
 """
 
 import dataclasses

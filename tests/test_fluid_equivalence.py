@@ -1,13 +1,13 @@
 """Equivalence pinning for the fluid client population.
 
-The fluid generator's license to exist (DESIGN.md §13) mirrors the
-timing wheel's: it must change the *cost* of the client population, not
-the results.  Two regimes, two contracts:
+The fluid generator's license to exist (DESIGN.md §13): it must change
+the *cost* of the client population, not the results.  Two regimes, two
+contracts:
 
 * **pinned** (population fits the boundary budget): byte-identical
   RunMetrics rows against the discrete generator — same streams, same
-  offsets, same link rotation — across architectures, scenarios, wheel
-  modes and random class mixes;
+  offsets, same link rotation — across architectures, scenarios and
+  random class mixes;
 * **aggregate** (population exceeds the budget): statistical agreement
   on saturated testbeds, pinned to explicit tolerances.  Saturation is
   part of the contract — the budget must exceed the server's useful
@@ -26,7 +26,7 @@ from repro.net.topology import NetworkSpec
 from repro.osmodel.machine import MachineSpec
 from repro.workload.fluid import FluidClass, FluidConfig
 
-#: Architecture x scenario grid, mirroring test_wheel_equivalence.py.
+#: Architecture x scenario grid, mirroring test_kernel_row_digests.py.
 GRID = [
     ("httpd-up-1g", ServerSpec.httpd(64), MachineSpec(cpus=1), "gigabit"),
     ("httpd-smp-100m", ServerSpec.httpd(64), MachineSpec(cpus=4),
@@ -74,21 +74,6 @@ def test_pinned_regime_ignores_the_budget_value():
         spec, machine, "gigabit", fluid=FluidConfig(budget=None)
     ).row()
     assert capped == uncapped
-
-
-def test_pinned_fluid_is_wheel_invariant(monkeypatch):
-    """The fluid gate composes with REPRO_NO_WHEEL: all four mode
-    combinations produce the same row."""
-    spec, machine = ServerSpec.httpd(64), MachineSpec(cpus=1)
-    rows = []
-    for no_wheel in (False, True):
-        if no_wheel:
-            monkeypatch.setenv("REPRO_NO_WHEEL", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_WHEEL", raising=False)
-        rows.append(_row(spec, machine, "gigabit").row())
-        rows.append(_row(spec, machine, "gigabit", fluid=FluidConfig()).row())
-    assert all(r == rows[0] for r in rows[1:])
 
 
 def test_class_reorder_invariance_pinned_and_aggregate():

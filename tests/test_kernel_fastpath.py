@@ -3,12 +3,17 @@
 The fast paths (see the :mod:`repro.sim.core` docstring and DESIGN.md)
 must be invisible to model code: same scheduling order, same values, same
 failure propagation — just fewer allocations.  These tests pin the
-recycling rules and the tombstone-interrupt semantics directly.
+recycling rules, the tombstone cancel and interrupt semantics, and the
+dispatch order against a sorted-``(time, seq)`` oracle directly.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Interrupted, Simulator
 from repro.sim.core import SimulationError, Timeout
@@ -284,6 +289,175 @@ def test_interrupt_terminated_process_raises():
     sim.run()
     with pytest.raises(SimulationError):
         proc.interrupt()
+
+
+# -- cancellation: tombstones and compaction ---------------------------------
+
+def test_timeout_cancel_leaves_a_tombstone_on_the_heap():
+    sim = Simulator()
+    fired = []
+    ev = sim.timeout(10.0)
+    ev.callbacks.append(fired.append)
+    assert ev.cancel() is True
+    assert ev.cancel() is False  # idempotent
+    assert sim.timer_stats()["tombstones"] == 1
+    sim.run()
+    assert fired == []
+    assert sim.now == 10.0  # the tombstone still pops (sequence slot kept)
+    assert ev.cancel() is False  # processed
+
+
+def test_tombstone_compaction_bounds_heap_growth():
+    sim = Simulator()
+    for _ in range(1000):
+        sim.timeout(50.0).cancel()
+    stats = sim.timer_stats()
+    assert stats["tombstones_compacted"] >= 1
+    # Without compaction the heap would hold ~1000 dead entries.
+    assert stats["heap_pending"] < 200
+
+
+def test_interrupt_cancels_a_private_timeout():
+    sim = Simulator()
+
+    def sleeper():
+        try:
+            yield sim.timeout(100.0)
+        except Interrupted:
+            pass
+
+    proc = sim.process(sleeper())
+    sim.call_later(1.0, proc.interrupt)
+    sim.run()
+    assert sim.timer_stats()["tombstones"] == 1
+    assert not proc.is_alive
+
+
+# -- dispatch order against a sorted-(time, seq) oracle ----------------------
+
+def _oracle_history(ops):
+    """What a plain sorted list of ``(time, seq)`` keys dispatches.
+
+    Mirrors :func:`_kernel_history` op for op: every schedule takes the
+    next sequence number, cancelled entries never run, and ``run(until)``
+    dispatches every live entry due by ``until`` in key order, then sets
+    the clock to ``until``.
+    """
+    now, seq = 0.0, 0
+    pending = []  # [time, seq, tag, child_delay, cancelled]
+    cancellable = []
+    fired = []
+
+    def schedule(at, tag, child):
+        nonlocal seq
+        seq += 1
+        entry = [at, seq, tag, child, False]
+        pending.append(entry)
+        return entry
+
+    def run(until):
+        nonlocal now
+        while pending:
+            pending.sort(key=lambda e: (e[0], e[1]))
+            if pending[0][0] > until:
+                break
+            at, _seq, tag, child, cancelled = pending.pop(0)
+            now = at
+            if cancelled:
+                continue
+            fired.append((round(at, 9), tag))
+            if child is not None:
+                schedule(at + child, (tag, "child"), None)
+        now = until
+
+    for i, (kind, delay, pick) in enumerate(ops):
+        if kind == 0:
+            schedule(now + delay, ("cb", i), None)
+        elif kind == 1:
+            cancellable.append(schedule(now + delay, ("timeout", i), None))
+        elif kind == 2:
+            schedule(now + delay, ("parent", i), pick * 2.0)
+        elif kind == 3 and cancellable:
+            entry = cancellable[int(pick * len(cancellable)) % len(cancellable)]
+            expected = entry in pending and not entry[4]
+            entry[4] = True
+            fired.append(("cancel", i, expected))
+        elif kind == 4:
+            run(now + delay)
+            fired.append(("now", round(now, 9)))
+    run(now + 1000.0)
+    fired.append(("end", round(now, 9)))
+    return fired
+
+
+def _kernel_history(ops):
+    """Drive the kernel through ``ops``; return what it dispatched."""
+    sim = Simulator()
+    timeouts = []
+    fired = []
+
+    def fire(tag):
+        fired.append((round(sim.now, 9), tag))
+
+    def parent(tag, child):
+        fire(tag)
+        sim.call_later(child, fire, (tag, "child"))
+
+    for i, (kind, delay, pick) in enumerate(ops):
+        if kind == 0:
+            sim.call_later(delay, fire, ("cb", i))
+        elif kind == 1:
+            ev = sim.timeout(delay)
+            ev.callbacks.append(lambda _e, tag=("timeout", i): fire(tag))
+            timeouts.append(ev)
+        elif kind == 2:
+            sim.call_later(delay, parent, ("parent", i), pick * 2.0)
+        elif kind == 3 and timeouts:
+            ev = timeouts[int(pick * len(timeouts)) % len(timeouts)]
+            fired.append(("cancel", i, ev.cancel()))
+        elif kind == 4:
+            sim.run(until=sim.now + delay)
+            fired.append(("now", round(sim.now, 9)))
+    sim.run(until=sim.now + 1000.0)
+    fired.append(("end", round(sim.now, 9)))
+    return fired, sim
+
+
+#: Few distinct delays, so equal deadlines (ties) are common.
+_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 4.0])
+_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        _delays,
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(ops=_ops)
+@settings(max_examples=60, deadline=None)
+def test_random_interleavings_dispatch_in_key_order(ops):
+    """Every live entry runs in ``(time, seq)`` order; no cancelled one runs."""
+    fired, _sim = _kernel_history(ops)
+    assert fired == _oracle_history(ops)
+
+
+def test_cancel_heavy_storm_matches_oracle_through_compaction():
+    rng = random.Random(11)
+    ops = [
+        (1, rng.choice([0.5, 1.0, 2.5, 4.0]), rng.random())
+        for _ in range(600)
+    ]
+    ops += [(3, 0.0, rng.random()) for _ in range(600)]
+    ops += [
+        (rng.randrange(5), rng.choice([0.0, 0.25, 1.0, 4.0]), rng.random())
+        for _ in range(600)
+    ]
+    fired, sim = _kernel_history(ops)
+    assert sim.timer_stats()["tombstones_compacted"] >= 1
+    assert fired == _oracle_history(ops)
 
 
 # -- workload caching (rides along with the perf work) -----------------------

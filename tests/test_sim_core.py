@@ -50,6 +50,21 @@ def test_ties_break_in_schedule_order():
     assert order == ["a", "b", "c"]
 
 
+def test_equal_time_preserves_schedule_order():
+    sim = Simulator()
+    fired = []
+    # The same deadline reached from different start times, through both
+    # scheduling APIs: the sequence number alone breaks the tie.
+    sim.timeout(4.0).callbacks.append(lambda _e: fired.append("first"))
+    sim.run(until=1.0)
+    sim.call_later(3.0, fired.append, "second")
+    sim.run(until=2.5)
+    sim.timeout(1.5).callbacks.append(lambda _e: fired.append("third"))
+    sim.run()
+    assert fired == ["first", "second", "third"]
+    assert sim.now == 4.0
+
+
 def test_run_until_advances_clock_exactly():
     sim = Simulator()
     sim.timeout(10.0)

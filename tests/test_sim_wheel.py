@@ -1,228 +1,39 @@
-"""Unit and property tests for the hierarchical timing wheel.
+"""The heap-only kernel fires in the order the timing wheel did.
 
-The wheel (repro.sim.wheel) stages cancellable timers in front of the
-dispatch heap; its contract is that enabling it changes *nothing* about
-what fires when — only what schedule/cancel cost.  The property test at
-the bottom hammers exactly that: a random interleaving of schedules,
-cancels, re-arms, and time advances must produce an identical firing
-history with the wheel on and off.
+The hierarchical timing wheel that once staged cancellable timers in
+front of the dispatch heap was removed; its contract was that enabling it
+changed nothing about what fires when.  The property below keeps that
+contract pinned after the removal: a seed-determined interleaving of
+timeouts, cancels, replacements, bare callbacks and clock advances is
+replayed on the kernel, and its full firing history must hash to the
+digest recorded from the wheel-enabled kernel (which matched the
+wheel-disabled kernel for every seed) before the wheel was deleted.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.wheel import TimingWheel
+
+#: sha256 of ``repr(_random_history(seed))``, recorded with the timing
+#: wheel enabled; the wheel-disabled history was identical for each seed.
+WHEEL_HISTORY_DIGESTS = {
+    0: "a806051aa8e96313dc69aa2a1f48e67f1aee360994e30a6785783e7031a26f8f",
+    1: "55a1488f8831419f44e3baae29323e06d9dff48110b01a7c60b1b382736621f6",
+    2: "dd27762ddb3fd2785c9c403433afac034ad8856461b2958edda7948757b9a09c",
+    3: "f3295aa6a06d53159408293e27ca0947a918c71563b9c7f0917b9efe5f5e048e",
+    17: "caa2810600720f960b06daf01afa0bde3589e38f0a8fadf2551946db5d4e7865",
+}
 
 
-def test_wheel_rejects_bad_tick():
-    with pytest.raises(ValueError):
-        TimingWheel(0.0, object)
-    with pytest.raises(ValueError):
-        TimingWheel(-1.0, object)
-
-
-def test_simulator_wheel_flag_and_env(monkeypatch):
-    assert Simulator().wheel_enabled
-    assert not Simulator(wheel=False).wheel_enabled
-    monkeypatch.setenv("REPRO_NO_WHEEL", "1")
-    assert not Simulator().wheel_enabled
-    # An explicit argument beats the environment.
-    assert Simulator(wheel=True).wheel_enabled
-
-
-def test_timer_fires_with_args():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(3.0, lambda a, b: fired.append((sim.now, a, b)),
-                               "x", 7)
-    assert timer.active
-    sim.run()
-    assert fired == [(3.0, "x", 7)]
-    assert not timer.active
-
-
-def test_timer_cancel_wheel_resident():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(5.0, fired.append, 1)
-    assert len(sim._wheel) == 1
-    assert timer.cancel() is True
-    assert timer.cancel() is False  # idempotent
-    assert len(sim._wheel) == 0
-    sim.run()
-    assert fired == []
-    stats = sim.timer_stats()
-    assert stats["wheel_cancelled"] == 1
-    assert stats["tombstones"] == 0  # true cancel leaves no heap trace
-
-
-def test_timer_cancel_heap_resident():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(0.1, fired.append, 1)  # sub-tick -> heap
-    assert len(sim._wheel) == 0
-    assert timer.cancel() is True
-    sim.run()
-    assert fired == []
-    assert sim.timer_stats()["wheel_cancelled"] == 0
-
-
-def test_timer_cancel_after_fire_is_false():
-    sim = Simulator()
-    timer = sim.schedule_timer(1.0, lambda: None)
-    sim.run()
-    assert timer.cancel() is False
-
-
-def test_timer_rearm_supersedes_pending_firing():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(5.0, fired.append, "a")
-    assert timer.rearm(9.0, "b") is timer
-    sim.run()
-    assert fired == [("b")] and sim.now == 9.0
-
-
-def test_timer_rearm_revives_after_fire_and_cancel():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(1.0, fired.append, "a")
-    sim.run()
-    timer.rearm(2.0, "b")  # fired -> fresh placement
-    sim.run()
-    timer.rearm(3.0, "c")
-    timer.cancel()
-    timer.rearm(4.0, "d")  # cancelled -> fresh placement
-    sim.run()
-    assert fired == ["a", "b", "d"]
-
-
-def test_timer_rearm_crosses_wheel_heap_boundary():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule_timer(15.0, fired.append, "long")
-    timer.rearm(0.01, "short")  # wheel node -> sub-tick heap entry
-    sim.run()
-    timer.rearm(15.0, "long2")  # heap history -> wheel node again
-    sim.run()
-    assert fired == ["short", "long2"]
-    assert sim.now == pytest.approx(0.01 + 15.0)
-
-
-def test_timer_rearm_rejects_negative_delay():
-    sim = Simulator()
-    timer = sim.schedule_timer(1.0, lambda: None)
-    with pytest.raises(Exception):
-        timer.rearm(-0.5)
-
-
-def test_wheel_multi_level_cascade():
-    sim = Simulator()
-    fired = []
-    # Level 0 (seconds), level 1 (minutes), level 2 (hours): the coarse
-    # entries must cascade down as their slots are reached, never fire
-    # early or late.
-    delays = [2.0, 45.0, 4000.0]
-    for d in delays:
-        sim.schedule_timer(d, fired.append, d)
-    sim.run()
-    assert fired == sorted(delays)
-    assert sim.now == max(delays)
-    assert sim.timer_stats()["wheel_cascaded"] > 0
-
-
-def test_wheel_beyond_horizon_falls_back_to_heap():
-    sim = Simulator()
-    fired = []
-    delays = [2.0, 45.0, 4000.0, 500_000.0]  # last is past the horizon
-    for d in delays:
-        sim.schedule_timer(d, fired.append, d)
-    assert len(sim._wheel) == 3  # the far-future timer went to the heap
-    sim.run()
-    # The heap entry at 500000 makes the dispatch loop flush the whole
-    # wheel up front (early flush into the heap is always safe — the
-    # heap restores the order); everything still fires in time order.
-    assert fired == sorted(delays)
-    assert sim.now == max(delays)
-
-
-def test_wheel_equal_time_preserves_schedule_order():
-    sim = Simulator()
-    fired = []
-    # Same deadline via the wheel (long) and the heap (short, scheduled
-    # from a later start): sequence numbers must break the tie.
-    sim.schedule_timer(4.0, fired.append, "wheel-first")
-    sim.call_later(4.0, fired.append, "heap-second")
-    sim.schedule_timer(4.0, fired.append, "wheel-third")
-    sim.run()
-    assert fired == ["wheel-first", "heap-second", "wheel-third"]
-
-
-def test_timeout_cancel_true_cancels_on_wheel():
-    sim = Simulator()
-    ev = sim.timeout(10.0)
-    assert ev._node is not None
-    assert ev.cancel() is True
-    assert ev.cancel() is False
-    assert len(sim._wheel) == 0
-    sim.run()
-    assert sim.now == 0.0  # nothing left to dispatch
-
-
-def test_timeout_cancel_tombstones_on_heap():
-    sim = Simulator(wheel=False)
-    ev = sim.timeout(10.0)
-    assert ev._node is None
-    assert ev.cancel() is True
-    assert sim.timer_stats()["tombstones"] == 1
-    sim.run()
-    assert sim.now == 10.0  # the tombstone still pops (sequence slot kept)
-
-
-def test_tombstone_compaction_bounds_heap_growth():
-    sim = Simulator(wheel=False)
-    for _ in range(1000):
-        sim.timeout(50.0).cancel()
-    stats = sim.timer_stats()
-    assert stats["tombstones_compacted"] >= 1
-    # Without compaction the heap would hold ~1000 dead entries.
-    assert stats["heap_pending"] < 200
-
-
-def test_peek_sees_wheel_residents():
-    sim = Simulator()
-    sim.schedule_timer(7.25, lambda: None)
-    assert sim.peek() == pytest.approx(7.25)
-
-
-def test_timer_stats_accounting():
-    sim = Simulator()
-    t1 = sim.schedule_timer(5.0, lambda: None)
-    sim.schedule_timer(6.0, lambda: None)
-    t1.cancel()
-    sim.run()
-    stats = sim.timer_stats()
-    assert stats["wheel_enabled"] is True
-    assert stats["wheel_scheduled"] == 2
-    assert stats["wheel_cancelled"] == 1
-    assert stats["wheel_flushed"] == 1
-    assert stats["wheel_pending"] == 0
-
-
-# ---------------------------------------------------------------------------
-# Property: wheel on == wheel off, for arbitrary op interleavings.
-# ---------------------------------------------------------------------------
-
-
-def _random_history(seed: int, wheel: bool, ops: int = 400):
+def _random_history(seed: int, ops: int = 400):
     """Replay a seed-determined op sequence; return the firing history."""
     rng = random.Random(seed)
-    sim = Simulator(wheel=wheel)
+    sim = Simulator()
     fired = []
-    live = []  # Timer handles that may still be pending
-    timeouts = []  # cancellable Timeout events
+    live = []  # cancellable Timeout events that may still be pending
 
     for step in range(ops):
         roll = rng.random()
@@ -230,28 +41,28 @@ def _random_history(seed: int, wheel: bool, ops: int = 400):
             delay = rng.choice(
                 [0.05, 0.3, 0.9, 2.7, 15.0, 40.0, 90.0, 3000.0, 200_000.0]
             )
-            idx = step  # unique label
-            live.append(sim.schedule_timer(delay, fired.append, idx))
+            ev = sim.timeout(delay)
+            ev.callbacks.append(lambda _e, i=step: fired.append(i))
+            live.append(ev)
         elif roll < 0.55 and live:
-            live.pop(rng.randrange(len(live))).cancel()
+            ok = live.pop(rng.randrange(len(live))).cancel()
+            fired.append((step, "cancel", ok))
         elif roll < 0.70 and live:
-            timer = live[rng.randrange(len(live))]
-            timer.rearm(rng.choice([0.1, 1.5, 16.0, 64.0]), (step, "rearm"))
-        elif roll < 0.80:
-            ev = sim.timeout(rng.choice([0.2, 5.0, 33.0]))
-            ev.callbacks.append(
-                lambda e, i=step: fired.append((i, "timeout"))
+            # Replace a timer: cancel it and schedule a fresh deadline.
+            ok = live.pop(rng.randrange(len(live))).cancel()
+            ev = sim.timeout(rng.choice([0.1, 1.5, 16.0, 64.0]))
+            ev.callbacks.append(lambda _e, i=step: fired.append((i, "rearm")))
+            live.append(ev)
+            fired.append((step, "rearm", ok))
+        elif roll < 0.85:
+            sim.call_later(
+                rng.choice([0.2, 5.0, 33.0]), fired.append, (step, "call_later")
             )
-            timeouts.append(ev)
-        elif roll < 0.90 and timeouts:
-            timeouts.pop(rng.randrange(len(timeouts))).cancel()
         else:
             sim.run(until=sim.now + rng.choice([0.1, 0.7, 3.0, 21.0]))
         fired.append(("now", round(sim.now, 9)))
-    # Drain with an explicit bound covering every delay above: a bare
-    # run() would end at the last *entry* popped, and in heap-only mode
-    # that can be a cancelled timer's tombstone — the clocks (not the
-    # firings) would then differ.  See DESIGN.md §9.
+    # Drain with an explicit bound covering every delay above, so the
+    # final clock is the bound rather than the last entry popped.
     sim.run(until=2_000_000.0)
     fired.append(("end", round(sim.now, 9)))
     return fired
@@ -259,6 +70,9 @@ def _random_history(seed: int, wheel: bool, ops: int = 400):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
 def test_property_wheel_matches_heap_firing_order(seed):
-    assert _random_history(seed, wheel=True) == _random_history(
-        seed, wheel=False
-    )
+    history = _random_history(seed)
+    assert history == _random_history(seed)
+    assert any(entry[2] is True for entry in history
+               if isinstance(entry, tuple) and len(entry) == 3)
+    digest = hashlib.sha256(repr(history).encode()).hexdigest()
+    assert digest == WHEEL_HISTORY_DIGESTS[seed]

@@ -5,7 +5,7 @@ RunMetrics byte-identical to the cold run that filled the store and
 costs a small fraction of its wall-clock; an interrupted sweep resumed
 against the same store re-executes only the missing points; changing the
 code fingerprint invalidates everything.  The interruption pattern
-mirrors the wheel-PR equivalence tests: same inputs, two paths, ``==``
+mirrors the kernel equivalence tests: same inputs, two paths, ``==``
 over whole RunMetrics rows.
 """
 
