@@ -8,7 +8,7 @@ cluster  a replica tier behind a load balancer (steady/flash/slowloris/restart)
 trace    one observed cluster run: causal traces, attribution, SLO alerts
 figure   regenerate one paper figure (1-10) and print its tables
 figures  regenerate every paper figure (optionally in parallel / to JSON)
-observe  run one instrumented experiment and print the span report
+observe  one instrumented experiment: CPU phases, event counts, span report
 bench    measure the pipeline itself: kernel events/sec + figure wall-clock
 cache    inspect or garbage-collect the content-addressed run store
 profiles list the available measurement profiles
@@ -225,7 +225,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         machine=scenario.machine,
         network=scenario.network,
         seed=args.seed,
-        trace=("conn", "http", "error", "server") if args.trace else None,
     )
     if args.profile:
         metrics = _run_profiled(experiment.run)
@@ -236,15 +235,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.stats:
         for key, value in sorted(metrics.server_stats.items()):
             print(f"{key:>24s}: {value}")
-    if args.trace and experiment.tracer is not None:
-        print("\n-- trace event counts ------------------------------------")
-        print(experiment.tracer.summary())
     _print_cache_summary()
     return 0
 
 
 def cmd_observe(args: argparse.Namespace) -> int:
-    """One instrumented run: phase profile, histograms, breakdown."""
+    """One instrumented run: phases, event counts, histograms, breakdown."""
     import json
 
     from .obs import spans_to_chrome_trace, spans_to_jsonl
@@ -269,34 +265,36 @@ def cmd_observe(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     metrics = experiment.run()
-    recorder, profiler = experiment.recorder, experiment.profiler
+    obs = experiment.telemetry
 
     print(f"{spec.label} | {args.cpus} cpu | {args.network} | "
           f"{args.clients} clients: {metrics.throughput_rps:.1f} replies/s")
     print("\n-- CPU seconds by phase ------------------------------------")
-    print(profiler.table())
+    print(obs.profile.table())
+    print("\n-- connection-lifecycle event counts -----------------------")
+    print(obs.count_table())
     print("\n-- lifecycle-phase latency histograms ----------------------")
-    print(format_phase_table(recorder.registry))
+    print(format_phase_table(obs.registry))
     print("\n-- span counters -------------------------------------------")
-    print(format_registry_table(recorder.registry))
-    b = recorder.breakdown()
+    print(format_registry_table(obs.registry))
+    b = obs.breakdown()
     print("\n-- queue-wait vs service breakdown -------------------------")
     print(f"  queue wait: {b['queue_wait_s']:12.1f} s  "
           f"({b['queue_share'] * 100:5.1f}%)   <- includes failed conns")
     print(f"  service:    {b['service_s']:12.1f} s  "
           f"({b['service_share'] * 100:5.1f}%)")
-    slowest = render_slowest(recorder, n=args.slowest)
+    slowest = render_slowest(obs, n=args.slowest)
     if slowest:
         print("\n-- slowest connections -------------------------------------")
         print(slowest)
     if args.spans:
         with open(args.spans, "w") as fh:
-            fh.write(spans_to_jsonl(recorder.spans))
-        print(f"\nwrote {len(recorder)} spans to {args.spans} "
-              f"({recorder.dropped} evicted from the ring)")
+            fh.write(spans_to_jsonl(obs.spans))
+        print(f"\nwrote {len(obs)} spans to {args.spans} "
+              f"({obs.dropped} evicted from the ring)")
     if args.chrome:
         with open(args.chrome, "w") as fh:
-            json.dump(spans_to_chrome_trace(recorder.spans), fh)
+            json.dump(spans_to_chrome_trace(obs.spans), fh)
         print(f"wrote Chrome trace to {args.chrome} "
               f"(load in chrome://tracing or ui.perfetto.dev)")
     return 0
@@ -814,9 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="client count; k/M suffixes allowed (250k, 1M)")
     p_run.add_argument("--stats", action="store_true",
                        help="also print server-side counters")
-    p_run.add_argument("--trace", action="store_true",
-                       help="record trace events; print per-category "
-                            "counts (and any ring-buffer drops)")
     p_run.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top 20 "
                             "functions by cumulative time")

@@ -4,9 +4,9 @@ N replica servers (any of the four architectures, heterogeneous machine
 mixes allowed) behind a pluggable load balancer, with an optional LRU
 front cache and per-class WAN client links — plus the three hostile-
 traffic scenarios (flash crowd, slowloris, rolling restart).  With
-``ClusterSpec(observe=True)`` a :class:`ClusterTelemetry` adds causal
-request tracing, windowed time series, and SLO burn-rate monitors over
-the whole front end.  See DESIGN.md §11 for the layering and
+``ClusterSpec(observe=True)`` the run's one
+:class:`~repro.obs.Observer` adds causal request tracing, windowed time
+series, and SLO burn-rate monitors over the whole front end.  See DESIGN.md §11 for the layering and
 determinism guarantees and §12 for the observability model.
 """
 
@@ -51,7 +51,7 @@ from .spec import (
     ReplicaSpec,
     RollingRestartSpec,
 )
-from .telemetry import ClusterTelemetry, ListenerProbe
+from .telemetry import state_bands
 
 __all__ = [
     "UP",
@@ -83,8 +83,7 @@ __all__ = [
     "FlashCrowdSpec",
     "RollingRestartSpec",
     "ClusterPointSpec",
-    "ClusterTelemetry",
-    "ListenerProbe",
+    "state_bands",
     "replica",
     "uniform_cluster",
     "straggler_cluster",

@@ -95,10 +95,10 @@ class LoadBalancer:
         self.picks = 0
         self.no_replica = 0
         self.routed_unavailable = 0
-        #: Optional :class:`~repro.cluster.telemetry.ClusterTelemetry`:
-        #: picks and state transitions feed the time series and the
-        #: figure's replica-state bands.  Assigned by the experiment.
-        self.telemetry = None
+        #: The run's :class:`~repro.obs.Observer` (or ``None``): picks
+        #: and state transitions feed its time series and the figure's
+        #: replica-state bands.  Assigned by the experiment.
+        self.obs = None
         #: rid -> [warm_start, warm_duration, credit] while WARMING.
         self._warming: Dict[str, List[float]] = {}
         #: rid -> picks_by_rid value at the moment the rid started
@@ -130,8 +130,8 @@ class LoadBalancer:
             if warm_s <= 0:
                 raise ValueError("WARMING needs warm_s > 0")
             self._warming[rid] = [self.clock(), warm_s, 0.0]
-        if self.telemetry is not None:
-            self.telemetry.on_state(self.clock(), rid, state)
+        if self.obs is not None:
+            self.obs.state_change(self.clock(), rid, state)
 
     def _eligible(self) -> List:
         """Routable replicas right now, in rid order.
@@ -150,8 +150,8 @@ class LoadBalancer:
                 if now >= start + duration:
                     self.state[replica.rid] = UP
                     del self._warming[replica.rid]
-                    if self.telemetry is not None:
-                        self.telemetry.on_state(now, replica.rid, UP)
+                    if self.obs is not None:
+                        self.obs.state_change(now, replica.rid, UP)
                     out.append(replica)
                     continue
                 # Error-diffusion admission: eligible on the picks where
@@ -182,8 +182,8 @@ class LoadBalancer:
         self.picks += 1
         if not eligible:
             self.no_replica += 1
-            if self.telemetry is not None:
-                self.telemetry.on_pick(self.clock(), None)
+            if self.obs is not None:
+                self.obs.pick(self.clock(), None)
             return None
         replica = self._select(eligible, key)
         rid = replica.rid
@@ -194,8 +194,8 @@ class LoadBalancer:
         self.open_conns[rid] = opened
         if opened > self.open_peak[rid]:
             self.open_peak[rid] = opened
-        if self.telemetry is not None:
-            self.telemetry.on_pick(self.clock(), rid)
+        if self.obs is not None:
+            self.obs.pick(self.clock(), rid)
         return replica
 
     def release(self, replica) -> None:

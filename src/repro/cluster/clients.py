@@ -75,16 +75,16 @@ class FanoutMetrics:
     tier, sessions are an aggregate-only concept.
     """
 
-    __slots__ = ("aggregate", "registry", "tier", "telemetry")
+    __slots__ = ("aggregate", "registry", "tier", "obs")
 
     def __init__(self, aggregate: MetricsHub, registry: Registry) -> None:
         self.aggregate = aggregate
         self.registry = registry
         self.tier: Optional[TierMetrics] = None
-        #: Optional :class:`~repro.cluster.telemetry.ClusterTelemetry`:
-        #: replies/errors/connections also feed the time-series and SLO
+        #: The run's :class:`~repro.obs.Observer` (or ``None``):
+        #: replies/errors/connections also feed its time series and SLO
         #: monitors (pure bookkeeping — pay-for-use).
-        self.telemetry = None
+        self.obs = None
 
     def record_reply(
         self, response_time: float, ttfb: float, nbytes: int
@@ -101,8 +101,8 @@ class FanoutMetrics:
                 self.tier.registry.histogram("response_time_s").observe(
                     response_time
                 )
-        if self.telemetry is not None:
-            self.telemetry.on_reply(
+        if self.obs is not None:
+            self.obs.reply(
                 self.aggregate.sim.now,
                 response_time,
                 self.tier.name if self.tier is not None else "?",
@@ -113,8 +113,8 @@ class FanoutMetrics:
         self.aggregate.record_error(kind)
         if self.tier is not None:
             self.tier.hub.record_error(kind)
-        if self.telemetry is not None:
-            self.telemetry.on_error(
+        if self.obs is not None:
+            self.obs.error(
                 self.aggregate.sim.now,
                 kind,
                 self.tier.name if self.tier is not None else None,
@@ -125,8 +125,8 @@ class FanoutMetrics:
         self.aggregate.record_connection(connection_time)
         if self.tier is not None:
             self.tier.hub.record_connection(connection_time)
-        if self.telemetry is not None:
-            self.telemetry.on_connection(
+        if self.obs is not None:
+            self.obs.connection(
                 self.aggregate.sim.now,
                 self.tier.name if self.tier is not None else None,
             )
@@ -164,7 +164,7 @@ class ClusterClient(EmulatedClient):
         cache: Optional[LruCache] = None,
         cache_tier: Optional[TierMetrics] = None,
         sessions_limit: Optional[int] = None,
-        telemetry=None,
+        obs=None,
         wan_class: str = "",
     ) -> None:
         super().__init__(
@@ -175,10 +175,9 @@ class ClusterClient(EmulatedClient):
         self.cache = cache
         self.cache_tier = cache_tier
         self.sessions_limit = sessions_limit
-        #: Optional :class:`~repro.cluster.telemetry.ClusterTelemetry`;
-        #: its tracer learns each connection's route and cache hits.
-        self.telemetry = telemetry
-        self.tracer = telemetry.tracer if telemetry is not None else None
+        #: The run's :class:`~repro.obs.Observer` (or ``None``): it
+        #: learns each connection's route, cache lookups and cache hits.
+        self.obs = obs
         self.wan_class = wan_class
 
     # ------------------------------------------------------------------
@@ -211,15 +210,13 @@ class ClusterClient(EmulatedClient):
             return None, None
         self.metrics.tier = replica.metrics
         conn = Connection(self.sim, self.duplex, replica.listener)
-        if conn.span is not None:
-            conn.span.mark("routed")
-            if self.tracer is not None:
-                self.tracer.register(conn.span, replica.rid, self.wan_class)
+        if self.obs is not None:
+            self.obs.routed(conn.span, replica.rid, self.wan_class)
         try:
             conn_time = yield from conn.connect(self.config.client_timeout)
         except ConnectTimeout:
             self.metrics.record_error(CLIENT_TIMEOUT)
-            self._finish_span(conn, "connect_timeout")
+            conn.finish_span("connect_timeout")
             self.balancer.release(replica)
             self.metrics.tier = None
             return None, None
@@ -250,7 +247,7 @@ class ClusterClient(EmulatedClient):
                 return conn, replica, pendings
             except ResetByServer:
                 self.metrics.record_error(CONNECTION_RESET)
-                self._finish_span(conn, "reset")
+                conn.finish_span("reset")
                 self._end_lease(conn, replica)
                 conn, replica = yield from self._route_and_connect()
                 if conn is None:
@@ -273,10 +270,10 @@ class ClusterClient(EmulatedClient):
             yield self.duplex.down.transmit(total - first)
         saved = self.metrics.tier
         self.metrics.tier = self.cache_tier
-        if self.tracer is not None:
+        if self.obs is not None:
             # Same event as record_reply: the trace's timestamps are the
             # identical floats the response-time measurement uses.
-            self.tracer.record_cache_hit(
+            self.obs.tracer.record_cache_hit(
                 self.wan_class, t0, t_arrive, t_service, self.sim.now
             )
         self.metrics.record_reply(self.sim.now - t0, ttfb, total)
@@ -294,8 +291,8 @@ class ClusterClient(EmulatedClient):
                     self.cache is not None and request.file_id is not None
                 )
                 hit = cacheable and self.cache.lookup(request.file_id)
-                if cacheable and self.telemetry is not None:
-                    self.telemetry.on_cache_lookup(self.sim.now, hit)
+                if cacheable and self.obs is not None:
+                    self.obs.cache_lookup(self.sim.now, hit)
                 if hit:
                     yield from self._serve_from_cache(request)
                 else:
@@ -311,7 +308,7 @@ class ClusterClient(EmulatedClient):
                 if pendings is None:
                     if conn is not None:
                         conn.client_close()
-                        self._finish_span(conn, "closed")
+                        conn.finish_span("closed")
                         self._end_lease(conn, replica)
                     return False
                 failed = yield from self._collect_replies(conn, pendings)
@@ -324,7 +321,7 @@ class ClusterClient(EmulatedClient):
                 yield self.sim.timeout(plan.think_times[group_index])
         if conn is not None:
             conn.client_close()
-            self._finish_span(conn, "closed")
+            conn.finish_span("closed")
             self._end_lease(conn, replica)
         return ok
 
@@ -392,7 +389,7 @@ class SlowlorisClient:
                 yield from conn.connect(self.config.client_timeout)
             except ConnectTimeout:
                 self.connect_failures += 1
-                self._finish(conn, "connect_timeout")
+                conn.finish_span("connect_timeout")
                 self.balancer.release(replica)
                 yield self.sim.timeout(self.reconnect_delay)
                 continue
@@ -406,15 +403,10 @@ class SlowlorisClient:
                 yield self.sim.timeout(self.poll_s)
                 held += self.poll_s
             conn.client_close()
-            self._finish(conn, "slowloris")
+            conn.finish_span("slowloris")
             self.balancer.release(replica)
             replica.live_conns.pop(conn, None)
             yield self.sim.timeout(self.reconnect_delay)
-
-    @staticmethod
-    def _finish(conn: Connection, status: str) -> None:
-        if conn.span is not None:
-            conn.span.recorder.finish(conn.span, status)
 
 
 def apportion(n: int, classes) -> List[int]:
@@ -468,7 +460,7 @@ class ClusterLoadGenerator:
         cache: Optional[LruCache] = None,
         cache_tier: Optional[TierMetrics] = None,
         flash: Optional[FlashCrowdSpec] = None,
-        telemetry=None,
+        obs=None,
     ) -> None:
         if n_clients < 1:
             raise ValueError("need at least one client")
@@ -484,7 +476,7 @@ class ClusterLoadGenerator:
         self.cache = cache
         self.cache_tier = cache_tier
         self.flash = flash
-        self.telemetry = telemetry
+        self.obs = obs
         self.clients: List[ClusterClient] = []
         self.attackers: List[SlowlorisClient] = []
 
@@ -514,7 +506,7 @@ class ClusterLoadGenerator:
             cache=self.cache,
             cache_tier=self.cache_tier,
             sessions_limit=sessions_limit,
-            telemetry=self.telemetry,
+            obs=self.obs,
             wan_class=spec.name,
         )
         self.clients.append(client)

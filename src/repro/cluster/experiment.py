@@ -113,14 +113,13 @@ class ClusterExperiment:
 
     def __post_init__(self) -> None:
         #: Populated by run(): per-replica RunMetrics in rid order, the
-        #: registries (for merge tests), the balancer and the recorder.
+        #: registries (for merge tests) and the balancer.
         self.replica_metrics: Dict[str, RunMetrics] = {}
         self.replica_registries: Dict[str, Registry] = {}
         self.aggregate_registry: Optional[Registry] = None
         self.balancer: Optional[LoadBalancer] = None
-        self.recorder = None
-        #: The :class:`~repro.cluster.telemetry.ClusterTelemetry` when
-        #: the spec says ``observe=True`` (tracer, series, SLOs).
+        #: The run's :class:`~repro.obs.Observer` when the spec says
+        #: ``observe=True`` (spans, tracer, series, SLOs); else ``None``.
         self.telemetry = None
 
     # ------------------------------------------------------------------
@@ -129,7 +128,6 @@ class ClusterExperiment:
         sim: Simulator,
         rspec: ReplicaSpec,
         streams: RandomStreams,
-        recorder,
     ) -> ReplicaRuntime:
         machine = Machine(sim, rspec.machine)
         listener = ListenSocket(
@@ -137,12 +135,8 @@ class ClusterExperiment:
             machine,
             costs=rspec.machine.base_costs(),
             backlog=rspec.server.backlog,
-            recorder=recorder,
-            probe=(
-                self.telemetry.probe(rspec.rid)
-                if self.telemetry is not None
-                else None
-            ),
+            obs=self.telemetry,
+            name=rspec.rid,
         )
         server_spec = rspec.server
         if server_spec.overload is not None:
@@ -191,22 +185,21 @@ class ClusterExperiment:
         sim = Simulator()
         streams = RandomStreams(self.seed)
         if self.cluster.observe:
-            from .telemetry import ClusterTelemetry
+            from ..obs import Observer
 
-            self.telemetry = ClusterTelemetry(
-                sim, self.seed, slos=self.cluster.slos
+            self.telemetry = Observer.for_cluster(
+                lambda: sim.now, self.seed, self.cluster.slos
             )
-            self.recorder = self.telemetry.recorder
 
         runtimes = [
-            self._build_replica(sim, rspec, streams, self.recorder)
+            self._build_replica(sim, rspec, streams)
             for rspec in self.cluster.replicas
         ]
         by_rid = {rt.rid: rt for rt in runtimes}
         balancer = make_balancer(
             self.cluster.balancer, runtimes, clock=lambda: sim.now
         )
-        balancer.telemetry = self.telemetry
+        balancer.obs = self.telemetry
         self.balancer = balancer
 
         cache = None
@@ -253,7 +246,7 @@ class ClusterExperiment:
         aggregate_registry = Registry()
         self.aggregate_registry = aggregate_registry
         metrics = FanoutMetrics(aggregate_hub, aggregate_registry)
-        metrics.telemetry = self.telemetry
+        metrics.obs = self.telemetry
 
         for runtime in runtimes:
             runtime.server.start()
@@ -271,7 +264,7 @@ class ClusterExperiment:
             cache=cache,
             cache_tier=cache_tier,
             flash=self.flash,
-            telemetry=self.telemetry,
+            obs=self.telemetry,
         )
         generator.start(ramp=self.workload.effective_ramp)
 
@@ -368,20 +361,10 @@ class ClusterExperiment:
             if losses:
                 aggregate_stats[f"wan.{name}.losses"] = losses
         aggregate_stats.update(generator.stats())
-        if self.recorder is not None:
-            aggregate_stats["spans_unfinished"] = self.recorder.flush(
-                "unfinished"
-            )
-            breakdown = self.recorder.breakdown()
-            aggregate_stats["obs_queue_share"] = round(
-                breakdown["queue_share"], 6
-            )
-            aggregate_stats["obs_service_share"] = round(
-                breakdown["service_share"], 6
-            )
         if self.telemetry is not None:
-            # After the recorder flush above, so end-of-run harvested
-            # spans are included in the trace counters.
+            self.telemetry.end_run(aggregate_stats)
+            # After the span flush, so end-of-run harvested spans are
+            # included in the trace counters.
             aggregate_stats.update(self.telemetry.stats())
 
         cluster_util = min(

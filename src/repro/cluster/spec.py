@@ -185,11 +185,11 @@ class ClusterSpec:
     balancer: BalancerSpec = BalancerSpec()
     cache: Optional[CacheSpec] = None
     classes: Tuple[ClientClassSpec, ...] = (ClientClassSpec("wan"),)
-    #: Mount the full :class:`~repro.cluster.telemetry.ClusterTelemetry`
-    #: (shared span recorder + causal tracer + time series + SLO
-    #: monitors) across all replica listeners, so observability covers
-    #: client -> balancer -> cache -> replica end to end.  Pay-for-use:
-    #: RunMetrics stay byte-identical either way.
+    #: Mount one :class:`~repro.obs.Observer` with the cluster sinks
+    #: (spans + causal tracer + time series + SLO monitors) on every
+    #: replica listener, the balancer and the clients, so observability
+    #: covers client -> balancer -> cache -> replica end to end.  The
+    #: only cluster switch; pay-for-use: RunMetrics stay byte-identical.
     observe: bool = False
     #: Declarative SLOs evaluated in sim time (needs ``observe=True``).
     slos: Tuple[SloSpec, ...] = ()

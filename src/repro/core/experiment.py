@@ -9,7 +9,6 @@ httperf-style metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..http.files import FilePopulation
 from ..metrics.collectors import MetricsHub
@@ -83,18 +82,13 @@ class Experiment:
     machine: MachineSpec = MachineSpec(cpus=1)
     network: NetworkSpec = None  # type: ignore[assignment]
     seed: int = 42
-    #: Trace categories to record ("conn", "http", "error", "server");
-    #: an empty tuple/None disables tracing.  After run(), the recorder
-    #: is available as ``self.tracer``.
-    trace: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.network is None:
             self.network = NetworkSpec.gigabit()
-        self.tracer = None
-        #: Populated by run() when ``server.observe`` is set.
-        self.recorder = None
-        self.profiler = None
+        #: The run's :class:`~repro.obs.Observer`, populated by run()
+        #: when ``server.observe`` is set.
+        self.telemetry = None
 
     def run(self) -> RunMetrics:
         """Build the testbed, run to steady state, return the measurements."""
@@ -106,26 +100,19 @@ class Experiment:
             self.server.overload.reset()
         streams = RandomStreams(self.seed)
         machine = Machine(sim, self.machine)
-        if self.trace:
-            from ..sim.trace import Tracer
-
-            self.tracer = Tracer(sim, categories=self.trace)
         if self.server.observe:
             # Fresh per run: spans and phase attribution never leak
             # between sweep points, and determinism is preserved (the
             # observability layer uses no RNG and schedules no events).
-            from ..obs import PhaseProfiler, SpanRecorder
+            from ..obs import Observer
 
-            self.recorder = SpanRecorder(clock=lambda: sim.now)
-            self.profiler = PhaseProfiler()
+            self.telemetry = Observer(clock=lambda: sim.now)
         listener = ListenSocket(
             sim,
             machine,
             costs=self.machine.base_costs(),
             backlog=self.server.backlog,
-            tracer=self.tracer,
-            recorder=self.recorder,
-            profiler=self.profiler,
+            obs=self.telemetry,
         )
         network = Network(sim, self.network)
 
@@ -195,16 +182,12 @@ class Experiment:
         )
         if fluid is not None:
             stats.update(generator.stats())
-        if self.recorder is not None:
+        if self.telemetry is not None:
             # Close out every span still open at the end of the run —
             # clients stuck in SYN retransmission or waiting on replies.
-            stats["spans_unfinished"] = self.recorder.flush("unfinished")
-            breakdown = self.recorder.breakdown()
-            stats["obs_queue_wait_s"] = round(breakdown["queue_wait_s"], 6)
-            stats["obs_service_s"] = round(breakdown["service_s"], 6)
-            stats["obs_queue_share"] = round(breakdown["queue_share"], 6)
-            stats["obs_service_share"] = round(breakdown["service_share"], 6)
-        if self.profiler is not None:
+            b = self.telemetry.end_run(stats)
+            stats["obs_queue_wait_s"] = round(b["queue_wait_s"], 6)
+            stats["obs_service_s"] = round(b["service_s"], 6)
             # Scheduler loss is capacity the CPU could not sell because
             # of thread overhead — estimated from the final degradation
             # factor over the measurement window (not a CPU burst).
@@ -215,17 +198,12 @@ class Experiment:
                 * (1.0 - cpu.capacity_factor)
             )
             if loss > 0.0:
-                self.profiler.add("sched_overhead", loss)
-        tracer_kwargs = {}
-        if self.tracer is not None:
-            tracer_kwargs["trace_dropped"] = self.tracer.dropped
-            tracer_kwargs["trace_counts"] = self.tracer.counts_by_category()
+                self.telemetry.cpu("sched_overhead", loss)
         return RunMetrics.from_hub(
             metrics,
             clients=self.workload.clients,
             cpu_utilization=min(1.0, cpu_util),
             server_stats=stats,
-            **tracer_kwargs,
         )
 
     # -- convenience ---------------------------------------------------------

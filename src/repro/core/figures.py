@@ -808,6 +808,7 @@ class FigureRunner:
             CacheSpec,
             FlashCrowdSpec,
             restart_point,
+            state_bands,
             straggler_cluster,
         )
         from ..obs import default_slos, traces_to_chrome_trace
@@ -866,7 +867,7 @@ class FigureRunner:
         ]
         level = {"up": 3.0, "warming": 2.0, "draining": 1.0, "down": 0.0}
         rid = point.restart.rid
-        bands = telemetry.state_bands(rid, 0.0, t1)
+        bands = state_bands(telemetry, rid, 0.0, t1)
         states = []
         for b in bins:
             mid = (b + 0.5) * bin_w

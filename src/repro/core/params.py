@@ -68,10 +68,11 @@ class ServerSpec:
     #: adaptive timeout).  The control's state is reset at the start of
     #: every Experiment.run(), so one spec can be swept deterministically.
     overload: Optional[OverloadControl] = None
-    #: Mount request-lifecycle observability (a fresh
-    #: :class:`~repro.obs.SpanRecorder` + :class:`~repro.obs.PhaseProfiler`
-    #: per run).  Off by default: the disabled path costs one attribute
-    #: load per instrumentation site.
+    #: Mount request-lifecycle observability: a fresh
+    #: :class:`~repro.obs.Observer` per run (spans, CPU phases, lifecycle
+    #: event counts), the only single-server switch.  Off by default:
+    #: the disabled path costs one attribute load per instrumentation
+    #: site.
     observe: bool = False
 
     def __post_init__(self) -> None:

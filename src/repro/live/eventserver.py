@@ -17,7 +17,7 @@ import time
 from typing import Optional
 
 from ..http.parser import ParseError, RequestParser, render_response_head
-from ..obs import Registry, SeriesRecorder, SpanRecorder, derive_trace_id
+from ..obs import Observer, Registry, SeriesRecorder, derive_trace_id
 from ..overload import OverloadControl, Signals
 from .docroot import DocRoot
 
@@ -44,7 +44,7 @@ class AsyncioEventServer:
         overload: Optional[OverloadControl] = None,
         max_connections: int = 1024,
         registry: Optional[Registry] = None,
-        recorder: Optional[SpanRecorder] = None,
+        obs: Optional[Observer] = None,
         series: Optional[SeriesRecorder] = None,
     ):
         self.docroot = docroot
@@ -59,8 +59,9 @@ class AsyncioEventServer:
         #: Metrics registry backing the /-/metrics endpoint; shares the
         #: histogram/counter implementation with the simulation.
         self.registry = registry if registry is not None else Registry()
-        #: Optional span recorder (wall-clock spans per connection).
-        self.recorder = recorder
+        #: Optional :class:`~repro.obs.Observer` on a wall clock: one
+        #: lifecycle span per connection.
+        self.obs = obs
         #: Optional windowed time series (binned on seconds since
         #: start); its exposition is appended to /-/metrics, so a live
         #: scrape yields the same series the cluster figures plot.
@@ -139,7 +140,7 @@ class AsyncioEventServer:
                 return
         self.open_connections += 1
         self.registry.gauge("open_connections").add(1)
-        span = self.recorder.open() if self.recorder is not None else None
+        span = self.obs.open() if self.obs is not None else None
         if span is not None:
             span.mark("accept")
         status = "closed"
@@ -167,8 +168,8 @@ class AsyncioEventServer:
         finally:
             self.open_connections -= 1
             self.registry.gauge("open_connections").add(-1)
-            if self.recorder is not None:
-                self.recorder.finish(span, status)
+            if self.obs is not None:
+                self.obs.finish(span, status)
             writer.close()
 
     async def _respond(

@@ -15,7 +15,7 @@ import time
 from typing import List, Optional
 
 from ..http.parser import ParseError, RequestParser, render_response_head
-from ..obs import Registry, SpanRecorder
+from ..obs import Observer, Registry
 from ..overload import OverloadControl, Signals
 from .docroot import DocRoot
 from .eventserver import METRICS_PATH
@@ -43,7 +43,7 @@ class ThreadPoolHttpServer:
         backlog: int = 128,
         overload: Optional[OverloadControl] = None,
         registry: Optional[Registry] = None,
-        recorder: Optional[SpanRecorder] = None,
+        obs: Optional[Observer] = None,
     ):
         if pool_size < 1:
             raise ValueError("pool size must be >= 1")
@@ -62,8 +62,9 @@ class ThreadPoolHttpServer:
         #: Metrics registry backing the /-/metrics endpoint; shares the
         #: histogram/counter implementation with the simulation.
         self.registry = registry if registry is not None else Registry()
-        #: Optional span recorder (wall-clock spans per connection).
-        self.recorder = recorder
+        #: Optional :class:`~repro.obs.Observer` on a wall clock: one
+        #: lifecycle span per connection.
+        self.obs = obs
         self._sock: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
@@ -158,7 +159,7 @@ class ThreadPoolHttpServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """One thread bound to one connection, blocking I/O throughout."""
-        span = self.recorder.open() if self.recorder is not None else None
+        span = self.obs.open() if self.obs is not None else None
         if span is not None:
             span.mark("accept")
         status = "closed"
@@ -191,8 +192,8 @@ class ThreadPoolHttpServer:
                     if not self._respond(conn, request, span):
                         return
         finally:
-            if self.recorder is not None:
-                self.recorder.finish(span, status)
+            if self.obs is not None:
+                self.obs.finish(span, status)
 
     def _respond(self, conn: socket.socket, request, span=None) -> bool:
         if request.target == METRICS_PATH:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .collectors import CLIENT_TIMEOUT, CONNECTION_RESET, MetricsHub
 
@@ -34,11 +34,6 @@ class RunMetrics:
     connections_established: int
     reply_rate_cov: float
     server_stats: Dict[str, float] = field(default_factory=dict)
-    #: Events the tracer discarded after hitting its buffer cap
-    #: (0 when no tracer was mounted).
-    trace_dropped: int = 0
-    #: Per-category recorded-event counts; ``None`` = tracer not mounted.
-    trace_counts: Optional[Dict[str, int]] = None
 
     @staticmethod
     def from_hub(
@@ -46,8 +41,6 @@ class RunMetrics:
         clients: int,
         cpu_utilization: float,
         server_stats: Dict[str, float],
-        trace_dropped: int = 0,
-        trace_counts: Optional[Dict[str, int]] = None,
     ) -> "RunMetrics":
         return RunMetrics(
             clients=clients,
@@ -70,18 +63,11 @@ class RunMetrics:
             connections_established=hub.connections_established,
             reply_rate_cov=hub.reply_series.coefficient_of_variation(),
             server_stats=dict(server_stats),
-            trace_dropped=trace_dropped,
-            trace_counts=dict(trace_counts) if trace_counts else trace_counts,
         )
 
     def row(self) -> Dict[str, float]:
-        """The columns the benchmark harness prints per sweep point.
-
-        Runs with a tracer mounted (``trace_counts is not None``) get two
-        extra columns: total recorded trace events and how many the
-        tracer's ring buffer dropped.
-        """
-        out = {
+        """The columns the benchmark harness prints per sweep point."""
+        return {
             "clients": self.clients,
             "replies/s": round(self.throughput_rps, 1),
             "resp_ms": round(self.response_time_mean * 1e3, 2),
@@ -91,10 +77,6 @@ class RunMetrics:
             "MB/s": round(self.bandwidth_mbytes_per_s, 2),
             "cpu%": round(self.cpu_utilization * 100, 1),
         }
-        if self.trace_counts is not None:
-            out["trace_ev"] = sum(self.trace_counts.values())
-            out["trace_drop"] = self.trace_dropped
-        return out
 
 
 def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:

@@ -148,8 +148,8 @@ class Connection:
         self.in_flight = 0
         self.inbox = Store(sim)
         self.watcher = None  # selector, for event-driven servers
-        recorder = listener.recorder
-        self.span = recorder.open() if recorder is not None else None
+        obs = listener.obs
+        self.span = obs.open() if obs is not None else None
         self._backlog_since: Optional[float] = None  # accept-queue entry time
         self._established_ev = Event(sim)
         self._syn_accepted = False
@@ -214,9 +214,9 @@ class Connection:
         if self.server_closed or self.dead:
             # The server answers with an RST segment.
             yield self.duplex.down.transmit(RST_BYTES)
-            tracer = self.listener.tracer
-            if tracer is not None:
-                tracer.emit("error", "reset_observed", conn=id(self))
+            obs = self.listener.obs
+            if obs is not None:
+                obs.count("error", "reset_observed")
             raise ResetByServer()
         self._recv_pending.append(pending)
         if self.span is not None:
@@ -264,6 +264,12 @@ class Connection:
         if self.established:
             self.duplex.up.transmit_call(FIN_BYTES, self._fin_arrived)
 
+    def finish_span(self, status: str) -> None:
+        """End the connection's lifecycle span as ``status`` (a no-op
+        when unobserved or already finished)."""
+        if self.span is not None:
+            self.span.obs.finish(self.span, status)
+
     # ------------------------------------------------------------------
     # handshake plumbing
     # ------------------------------------------------------------------
@@ -288,16 +294,9 @@ class Connection:
             return
         self.established = True
         self._established_ev.succeed()
-        if self.span is not None:
-            self.span.mark("established")
-        tracer = self.listener.tracer
-        if tracer is not None:
-            tracer.emit(
-                "conn",
-                "established",
-                conn=id(self),
-                wait=self.sim.now - (self.connect_started or self.sim.now),
-            )
+        obs = self.listener.obs
+        if obs is not None:
+            obs.established(self.span)
 
     def _rst_arrived(self) -> None:
         self.dead = True
@@ -380,9 +379,9 @@ class Connection:
         self.server_closed = True
         self._free_kernel_bytes()
         self._wake_writable_waiters()
-        tracer = self.listener.tracer
-        if tracer is not None:
-            tracer.emit("conn", "server_close", conn=id(self))
+        obs = self.listener.obs
+        if obs is not None:
+            obs.count("conn", "server_close")
 
     # ------------------------------------------------------------------
     # delivery plumbing
@@ -448,6 +447,13 @@ class ListenSocket:
     backlog (FIFO/LIFO), and its dequeue hook may early-close connections
     that waited too long to be worth serving.  Servers mount it via the
     ``overload`` argument of :class:`~repro.servers.base.Server`.
+
+    ``obs`` is the run's :class:`~repro.obs.Observer`, or ``None`` (off).
+    When mounted, every connection opens a lifecycle span at creation,
+    the listener marks backlog entry and accept, and each drop, enqueue,
+    early close and handshake reaches the observer in one call — with
+    ``name`` (a cluster replica's id) so per-replica series stay apart.
+    The servers attribute their CPU phases through the same observer.
     """
 
     def __init__(
@@ -457,28 +463,17 @@ class ListenSocket:
         costs: Optional[CostModel] = None,
         backlog: int = 511,
         kernel_bytes_per_conn: int = 32 * 1024,
-        tracer=None,
         overload=None,
-        recorder=None,
-        profiler=None,
-        probe=None,
+        obs=None,
+        name: str = "sut",
     ) -> None:
         self.sim = sim
         self.machine = machine
         self.costs = costs or CostModel()
         self.kernel_bytes_per_conn = kernel_bytes_per_conn
-        self.tracer = tracer
         self.overload = overload
-        #: Optional :class:`~repro.obs.SpanRecorder`: connections open a
-        #: lifecycle span at creation and mark backlog entry/accept here.
-        self.recorder = recorder
-        #: Optional :class:`~repro.obs.PhaseProfiler` for kernel-side CPU
-        #: (SYN reject cost).
-        self.profiler = profiler
-        #: Optional listener probe (``on_drop(t)`` / ``on_enqueue(t,
-        #: depth)``): the cluster telemetry's per-replica shed-rate and
-        #: backlog-depth series.  Pure bookkeeping, pay-for-use.
-        self.probe = probe
+        self.obs = obs
+        self.name = name
         self._backlog = Store(sim, capacity=backlog)
         self.syns_received = 0
         self.syns_dropped = 0
@@ -499,11 +494,16 @@ class ListenSocket:
         """Size of the kernel accept queue."""
         return self._backlog.capacity or 0
 
-    def _charge_reject(self) -> None:
-        """CPU cost of dropping a SYN (fire and forget, phase-attributed)."""
-        if self.profiler is not None:
-            self.profiler.add("reject", self.costs.reject)
-        self.machine.cpu.charge(self.costs.reject)
+    def _charge_reject(self, action: str, count: int = 1) -> None:
+        """CPU cost of dropping ``count`` SYNs (fire and forget).
+
+        One observer call counts the ``action`` and attributes the cost
+        to the ``reject`` phase.
+        """
+        cost = count * self.costs.reject
+        if self.obs is not None:
+            self.obs.syn_drop(self.name, action, cost, count)
+        self.machine.cpu.charge(cost)
 
     @property
     def would_drop_syn(self) -> bool:
@@ -522,16 +522,7 @@ class ListenSocket:
         """
         self.syns_received += count
         self.syns_dropped += count
-        if self.profiler is not None:
-            self.profiler.add("reject", count * self.costs.reject)
-        self.machine.cpu.charge(count * self.costs.reject)
-        if self.probe is not None:
-            for _ in range(count):
-                self.probe.on_drop(self.sim.now)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "error", "syn_flood", count=count, backlog=self.backlog_depth
-            )
+        self._charge_reject("syn_flood", count)
 
     # -- overload-control plumbing ------------------------------------------
     def _oldest_wait(self) -> float:
@@ -565,23 +556,11 @@ class ListenSocket:
         ):
             self.syns_dropped += 1
             self.syns_shed += 1
-            if self.probe is not None:
-                self.probe.on_drop(self.sim.now)
-            self._charge_reject()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "error", "syn_shed", backlog=self.backlog_depth
-                )
+            self._charge_reject("syn_shed")
             return False
         if self._backlog.is_full and self._backlog.waiting_getters == 0:
             self.syns_dropped += 1
-            if self.probe is not None:
-                self.probe.on_drop(self.sim.now)
-            self._charge_reject()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "error", "syn_drop", backlog=self.backlog_depth
-                )
+            self._charge_reject("syn_drop")
             return False
         try:
             self.machine.memory.allocate(
@@ -589,20 +568,19 @@ class ListenSocket:
             )
         except MemoryExhausted:
             self.syns_dropped += 1
-            if self.probe is not None:
-                self.probe.on_drop(self.sim.now)
+            if self.obs is not None:
+                self.obs.syn_drop(self.name, None, 0.0)
             return False
         conn._kernel_bytes = self.kernel_bytes_per_conn
         conn._backlog_since = self.sim.now
         front = ctl is not None and ctl.discipline.front_insert
         self._backlog.put(conn, front=front)
         self.handshakes_completed += 1
-        if conn.span is not None:
-            conn.span.mark("backlog_enter")
-        if self.backlog_depth > self.backlog_peak:
-            self.backlog_peak = self.backlog_depth
-        if self.probe is not None:
-            self.probe.on_enqueue(self.sim.now, self.backlog_depth)
+        depth = self.backlog_depth
+        if depth > self.backlog_peak:
+            self.backlog_peak = depth
+        if self.obs is not None:
+            self.obs.enqueue(conn.span, self.name, depth)
         return True
 
     def _admit_dequeued(self, conn: Connection) -> bool:
@@ -619,8 +597,8 @@ class ListenSocket:
         # long; the client observes a reset if it ever sends.
         self.early_closed += 1
         conn.server_close()
-        if self.tracer is not None:
-            self.tracer.emit("error", "early_close", conn=id(conn))
+        if self.obs is not None:
+            self.obs.count("error", "early_close")
         return False
 
     def accept(self, timeout: Optional[float] = None):

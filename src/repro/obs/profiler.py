@@ -1,14 +1,17 @@
-"""Sim-side phase profiler: where do the server's CPU-seconds go?
+"""Where do the server's CPU-seconds go: the phase table view.
 
 Every simulated server charges CPU through ``cpu.execute(cost)`` at a
 handful of well-known sites (accept, selector scan, parse, file service,
-transmit, close, ...).  With a :class:`PhaseProfiler` mounted, each site
-also attributes its cost to a named phase, so a run can answer the
-question the paper's figures only imply: per architecture, how much CPU
-went to parsing vs serving vs selector overhead vs scheduler loss.
+transmit, close, ...).  With an :class:`~repro.obs.observer.Observer`
+mounted, each site also attributes its cost to a named phase in the
+observer's ``cpu_seconds``, so a run can answer the question the
+paper's figures only imply: per architecture, how much CPU went to
+parsing vs serving vs selector overhead vs scheduler loss.
 
-Attribution happens at submission time (costs are deterministic), so the
-profiler adds one dict update per burst and nothing to the event loop.
+Attribution happens at submission time (costs are deterministic), so it
+adds one dict update per burst and nothing to the event loop.
+:class:`PhaseProfiler` is the table/share view over such a mapping
+(``Observer.profile``).
 """
 
 from __future__ import annotations
@@ -19,24 +22,16 @@ __all__ = ["PhaseProfiler"]
 
 
 class PhaseProfiler:
-    """Accumulates CPU-seconds per named phase."""
+    """CPU-seconds per named phase, with snapshot/share/table views."""
 
-    def __init__(self) -> None:
-        self.cpu_seconds: Dict[str, float] = {}
-
-    def add(self, phase: str, cost: float) -> None:
-        """Attribute ``cost`` CPU-seconds to ``phase``."""
-        self.cpu_seconds[phase] = self.cpu_seconds.get(phase, 0.0) + cost
+    def __init__(self, cpu_seconds: Optional[Dict[str, float]] = None) -> None:
+        #: Phase -> CPU-seconds; shared, not copied, when passed in.
+        self.cpu_seconds = cpu_seconds if cpu_seconds is not None else {}
 
     @property
     def attributed(self) -> float:
         """Total CPU-seconds attributed to any phase."""
         return sum(self.cpu_seconds.values())
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's attribution into this one."""
-        for phase, cost in other.cpu_seconds.items():
-            self.add(phase, cost)
 
     def snapshot(self, total: Optional[float] = None) -> Dict[str, float]:
         """Per-phase CPU-seconds, plus ``unattributed`` when ``total``

@@ -53,8 +53,9 @@ def format_registry_table(registry: Registry) -> str:
 def render_timeline(span: ConnSpan, width: int = 64) -> str:
     """ASCII timeline of one connection span.
 
-    One row per lifecycle interval, positioned proportionally over the
-    span's lifetime — a poor man's flamegraph for terminals.
+    One row per lifecycle interval in start order, positioned
+    proportionally over the span's lifetime — a poor man's flamegraph
+    for terminals.
     """
     end = span.t_end if span.t_end is not None else span.t0 + span.duration
     total = max(end - span.t0, 1e-12)
@@ -63,7 +64,7 @@ def render_timeline(span: ConnSpan, width: int = 64) -> str:
         f"{total * 1e3:.3f} ms total"
     )
     rows: List[str] = [header]
-    for phase, start, stop in phase_intervals(span):
+    for phase, start, stop in sorted(phase_intervals(span), key=_start):
         left = int((start - span.t0) / total * width)
         bar = max(1, int((stop - start) / total * width))
         bar = min(bar, width - left) if left < width else 1
@@ -75,9 +76,13 @@ def render_timeline(span: ConnSpan, width: int = 64) -> str:
     return "\n".join(rows)
 
 
-def render_slowest(recorder, n: int = 3, width: int = 64) -> Optional[str]:
+def _start(interval) -> float:
+    return interval[1]
+
+
+def render_slowest(obs, n: int = 3, width: int = 64) -> Optional[str]:
     """Timelines of the ``n`` slowest spans, or None when empty."""
-    spans = recorder.slowest(n)
+    spans = obs.slowest(n)
     if not spans:
         return None
     return "\n\n".join(render_timeline(span, width=width) for span in spans)

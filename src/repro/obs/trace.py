@@ -42,7 +42,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .spans import ConnSpan, SpanRecorder
+from .spans import ConnSpan, mark_columns
 
 __all__ = [
     "derive_trace_id",
@@ -51,7 +51,6 @@ __all__ = [
     "RequestTrace",
     "request_traces_from_span",
     "ClusterTracer",
-    "TracingSpanRecorder",
     "attribution_summary",
     "traces_to_jsonl",
     "traces_from_jsonl",
@@ -70,7 +69,7 @@ def derive_trace_id(seed: int, rid: str, conn_id: int) -> str:
     """Deterministic 16-hex trace id from ``(seed, rid, conn_id)``.
 
     No RNG draw: identity comes from the run seed, the tier that served
-    the request, and the recorder-assigned connection id, all of which
+    the request, and the observer-assigned connection id, all of which
     are themselves deterministic.
     """
     return f"{_hash64(f'{seed}/{rid}/{conn_id}'):016x}"
@@ -145,7 +144,7 @@ def exact_partition(
 
 #: Which cluster tier each trace segment belongs to.  ``balancer`` never
 #: appears as a segment (a pick is instantaneous in simulated time; its
-#: modelled CPU cost goes to the PhaseProfiler's ``balance`` phase) but
+#: modelled CPU cost goes to the observer's ``balance`` CPU phase) but
 #: :meth:`RequestTrace.by_tier` reports it as an explicit zero row so
 #: per-tier tables always show the full path.
 SEGMENT_TIERS = {
@@ -164,7 +163,7 @@ class RequestTrace:
     ``bounds`` is the ordered ``(segment, end_time)`` list: segment k
     runs from the previous boundary (or ``t_sent``) to its end time.
     ``rid`` is the replica that served the request, or ``"cache"`` for
-    a front-cache hit; ``cid`` is the recorder connection id (−1 for
+    a front-cache hit; ``cid`` is the span's connection id (−1 for
     cache hits, which never reach a replica connection); ``index`` is
     the request's position on its connection (pipelining) or the
     cache-hit ordinal.
@@ -319,33 +318,34 @@ _REPLICA_BOUNDS = (
 
 
 def request_traces_from_span(
-    span: ConnSpan, seed: int, rid: str, wan_class: str
+    span: ConnSpan,
+    seed: int,
+    rid: str,
+    wan_class: str,
+    cols: Optional[Dict[str, List[float]]] = None,
 ) -> List[RequestTrace]:
     """Per-request traces from one routed connection span.
 
-    Requests pipeline FIFO on a persistent connection (the same
-    invariant :func:`~repro.obs.spans.phase_intervals` relies on), so
-    the i-th ``req_sent`` pairs with the i-th mark of every later
-    phase.  Only *completed* requests (an i-th ``reply_done`` exists)
-    yield traces; a trailing request cut off by a reset, client
-    timeout, or end-of-run flush is simply unmatched and dropped —
-    response-time metrics exclude it too, so traces and metrics agree.
+    Requests pipeline FIFO on a persistent connection, so the i-th
+    ``req_sent`` pairs with the i-th mark of every later phase — the
+    pairing of :func:`~repro.obs.spans.mark_columns` (pass ``cols`` when
+    already computed).  Only *completed* requests (an i-th
+    ``reply_done`` exists) yield traces; a trailing request cut off by a
+    reset, client timeout, or end-of-run flush is simply unmatched and
+    dropped — response-time metrics exclude it too, so traces and
+    metrics agree.
     """
-    marks: Dict[str, List[float]] = {"req_sent": [], "reply_done": []}
-    for _segment, mark in _REPLICA_BOUNDS:
-        marks.setdefault(mark, [])
-    for name, t in span.events:
-        if name in marks:
-            marks[name].append(t)
-    done = marks["reply_done"]
-    sent = marks["req_sent"]
+    if cols is None:
+        cols = mark_columns(span)
+    sent = cols.get("req_sent", ())
+    done = cols.get("reply_done", ())
     trace_id = derive_trace_id(seed, rid, span.cid)
     out: List[RequestTrace] = []
     for i in range(min(len(sent), len(done))):
         bounds = tuple(
-            (segment, marks[mark][i])
+            (segment, cols[mark][i])
             for segment, mark in _REPLICA_BOUNDS
-            if i < len(marks[mark])
+            if i < len(cols.get(mark, ()))
         )
         out.append(
             RequestTrace(
@@ -364,11 +364,11 @@ def request_traces_from_span(
 class ClusterTracer:
     """Bounded ring of request traces harvested from finished spans.
 
-    Connections are *registered* with their route (``rid``, WAN class)
-    when the balancer's pick is known; when the span finishes — any
-    status, including the end-of-run flush — the route is popped and
+    A connection's route (``rid``, WAN class) rides on its span from the
+    balancer's pick (:meth:`~repro.obs.observer.Observer.routed`); when
+    the span finishes — any status, including the end-of-run flush —
     the span's completed requests become :class:`RequestTrace` records.
-    Unregistered spans (slowloris attackers, never-routed clients) are
+    Unrouted spans (slowloris attackers, never-routed clients) are
     skipped.  ``dropped`` counts ring evictions, surfaced in the
     cluster aggregate stats; cache hits never touch a replica
     connection, so the client reports them directly via
@@ -382,20 +382,18 @@ class ClusterTracer:
         self.traces: Deque[RequestTrace] = deque(maxlen=capacity)
         self.recorded = 0
         self.dropped = 0
-        self._routes: Dict[int, Tuple[str, str]] = {}
         self._cache_hits = 0
 
-    def register(self, span: ConnSpan, rid: str, wan_class: str) -> None:
-        """Bind an open connection span to its routed replica."""
-        self._routes[span.cid] = (rid, wan_class)
-
-    def harvest(self, span: ConnSpan) -> None:
-        """Turn a finished, registered span into request traces."""
-        route = self._routes.pop(span.cid, None)
-        if route is None:
+    def harvest(
+        self, span: ConnSpan, cols: Optional[Dict[str, List[float]]] = None
+    ) -> None:
+        """Turn a finished, routed span into request traces."""
+        if span.route is None:
             return
-        rid, wan_class = route
-        for trace in request_traces_from_span(span, self.seed, rid, wan_class):
+        rid, wan_class = span.route
+        for trace in request_traces_from_span(
+            span, self.seed, rid, wan_class, cols
+        ):
             self._push(trace)
 
     def record_cache_hit(
@@ -450,26 +448,6 @@ class ClusterTracer:
 
     def __len__(self) -> int:
         return len(self.traces)
-
-
-class TracingSpanRecorder(SpanRecorder):
-    """A :class:`SpanRecorder` that also feeds a :class:`ClusterTracer`.
-
-    Subclassing keeps every finish site — client close, reset, timeout,
-    slowloris reap, end-of-run flush — covered without touching the
-    base recorder or the servers: the idempotent guard is replicated so
-    a span is harvested exactly once, on the finish that counted.
-    """
-
-    def __init__(self, clock, tracer: ClusterTracer, **kwargs) -> None:
-        super().__init__(clock, **kwargs)
-        self.tracer = tracer
-
-    def finish(self, span: Optional[ConnSpan], status: str) -> None:
-        if span is None or span.status is not None:
-            return
-        super().finish(span, status)
-        self.tracer.harvest(span)
 
 
 def attribution_summary(traces: Iterable[RequestTrace]) -> Dict[str, float]:

@@ -53,7 +53,7 @@ class CostModel:
     stage_handoff: float = 7e-6
     #: One load-balancer routing decision (cluster front end).  The front
     #: tier is modelled as uncapacitated, so this cost is attribution-only:
-    #: it lands in the PhaseProfiler ledger, never on a Machine.
+    #: it lands in the observer's CPU ledger, never on a Machine.
     balance: float = 5e-6
     #: One front-cache LRU lookup (cluster front end; attribution-only,
     #: same as :attr:`balance`).

@@ -88,9 +88,9 @@ class CPU:
 
         self._vtime = 0.0
         self._last_sync = sim.now
-        # Entries: (virtual finish, seq, payload) where payload is an
-        # Event (execute), a (fn, args) pair (execute_call) or None
-        # (charge) — see _on_timer for the completion protocols.
+        # Entries: (virtual finish, seq, payload) where payload is a
+        # (fn, args) completion call (execute, execute_call) or None
+        # (charge) — see _on_timer.
         self._heap: List[Tuple[float, int, object]] = []
         self._seq = 0
         self._timer_gen = 0
@@ -149,7 +149,7 @@ class CPU:
         if cost == 0.0:
             ev.succeed()
             return ev
-        self._submit(cost, ev)
+        self._submit(cost, (ev.succeed, ()))
         return ev
 
     def execute_call(self, cost: float, fn, *args) -> None:
@@ -194,10 +194,6 @@ class CPU:
         # (fires early, re-checks) unless this burst finishes first.
         if not self._timer_armed or self._heap[0][1] == self._seq:
             self._arm_timer()
-
-    def run(self, cost: float):
-        """Generator helper: ``yield from cpu.run(cost)`` inside a process."""
-        yield self.execute(cost)
 
     def utilization(self, elapsed: float) -> float:
         """Mean fraction of total capacity busy over ``elapsed`` seconds."""
@@ -255,17 +251,12 @@ class CPU:
         heap = self._heap
         while heap and heap[0][0] <= vnow + tol:
             payload = heapq.heappop(heap)[2]
-            # Three completion protocols, cheapest check first: a bare
-            # (fn, args) pair from execute_call runs in place, an Event
-            # from execute goes through kernel dispatch, None (charge)
-            # needs nothing.
-            if payload is None:
-                continue
-            if payload.__class__ is tuple:
+            # One completion protocol: a (fn, args) call — an event's
+            # succeed for execute, the caller's callback for
+            # execute_call — or None for charge, which needs nothing.
+            if payload is not None:
                 fn, args = payload
                 fn(*args)
-            else:
-                payload.succeed()
         self._arm_timer()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -49,9 +49,10 @@ class Server:
         self.requests_served = 0
         self.connections_handled = 0
         self.started = False
-        #: Optional :class:`~repro.obs.PhaseProfiler`; when mounted, every
-        #: CPU burst issued through :meth:`_exec` is attributed to a phase.
-        self.profiler = self.listener.profiler
+        #: The run's :class:`~repro.obs.Observer` (or ``None``), read off
+        #: the listener: every CPU burst issued through :meth:`_exec` is
+        #: attributed to a phase.
+        self.obs = self.listener.obs
 
     def start(self) -> None:
         """Spawn the server's threads/processes onto the simulator."""
@@ -102,11 +103,11 @@ class Server:
         """Charge ``cost`` CPU-seconds, attributed to ``phase``.
 
         Returns the completion event from ``cpu.execute`` so callers can
-        ``yield`` it exactly as before; with no profiler mounted the only
+        ``yield`` it exactly as before; with no observer mounted the only
         extra work is one ``is None`` check.
         """
-        if self.profiler is not None:
-            self.profiler.add(phase, cost)
+        if self.obs is not None:
+            self.obs.cpu(phase, cost)
         return self.machine.cpu.execute(cost)
 
     def _service_burst(self, conn, cost: Optional[float] = None):
@@ -117,12 +118,11 @@ class Server:
         phase and the file lookup to ``service``, and stamps
         ``svc_start``/``svc_end`` on the connection's span.
         """
-        if conn.span is not None:
-            conn.span.mark("svc_start")
-        c = self.costs
-        if self.profiler is not None:
-            self.profiler.add("parse", c.read_syscall + c.parse_request)
-            self.profiler.add("service", c.file_lookup)
+        if self.obs is not None:
+            c = self.costs
+            self.obs.svc_start(
+                conn.span, c.read_syscall + c.parse_request, c.file_lookup
+            )
         yield self.machine.cpu.execute(
             cost if cost is not None else self._service_cost()
         )

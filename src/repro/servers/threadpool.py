@@ -173,10 +173,8 @@ class ThreadPoolServer(Server):
             if request is None:
                 # Idle timeout: disconnect the client to free this thread.
                 self.idle_reaps += 1
-                if self.listener.tracer is not None:
-                    self.listener.tracer.emit(
-                        "server", "idle_reap", conn=id(conn)
-                    )
+                if self.obs is not None:
+                    self.obs.count("server", "idle_reap")
                 break
             if request is EOF:
                 break

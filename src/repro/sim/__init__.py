@@ -1,4 +1,8 @@
-"""Discrete-event simulation substrate (kernel, resources, RNG streams)."""
+"""Discrete-event simulation substrate (kernel, resources, RNG streams).
+
+Observability of the simulated system (connection spans, lifecycle
+event counts, CPU phases) lives in :mod:`repro.obs`, mounted per run.
+"""
 
 from .core import (
     AllOf,
@@ -29,7 +33,3 @@ __all__ = [
     "StoreFull",
     "RandomStreams",
 ]
-
-from .trace import CONN, ERROR, HTTP, SERVER, TraceEvent, Tracer
-
-__all__ += ["CONN", "ERROR", "HTTP", "SERVER", "TraceEvent", "Tracer"]

@@ -214,7 +214,6 @@ class _FluidSession:
     _collect_replies = EmulatedClient._collect_replies
     _run_session = EmulatedClient._run_session
     _run_session_http10 = EmulatedClient._run_session_http10
-    _finish_span = EmulatedClient._finish_span
 
 
 class _ClassSource:

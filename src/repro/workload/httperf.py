@@ -95,11 +95,6 @@ class EmulatedClient:
             yield self.sim.timeout(plan.inter_session_gap)
 
     # ------------------------------------------------------------------
-    def _finish_span(self, conn: Optional[Connection], status: str) -> None:
-        """Terminate the connection's observability span (if any)."""
-        if conn is not None and conn.span is not None:
-            conn.span.recorder.finish(conn.span, status)
-
     def _connect(self) -> object:
         """Generator: establish a fresh connection or return None."""
         conn = Connection(self.sim, self.duplex, self.listener)
@@ -107,7 +102,7 @@ class EmulatedClient:
             conn_time = yield from conn.connect(self.config.client_timeout)
         except ConnectTimeout:
             self.metrics.record_error(CLIENT_TIMEOUT)
-            self._finish_span(conn, "connect_timeout")
+            conn.finish_span("connect_timeout")
             return None
         self.metrics.record_connection(conn_time)
         return conn
@@ -127,7 +122,7 @@ class EmulatedClient:
                 return conn, pendings
             except ResetByServer:
                 self.metrics.record_error(CONNECTION_RESET)
-                self._finish_span(conn, "reset")
+                conn.finish_span("reset")
                 conn = yield from self._connect()
                 if conn is None:
                     return None, None
@@ -156,7 +151,7 @@ class EmulatedClient:
                 yield self.sim.timeout(plan.think_times[group_index])
         if conn is not None:
             conn.client_close()
-            self._finish_span(conn, "closed")
+            conn.finish_span("closed")
         return ok
 
     def _run_session_http10(self, plan: SessionPlan) -> object:
@@ -171,13 +166,13 @@ class EmulatedClient:
                 except ResetByServer:
                     # Unexpected on a fresh connection; count and bail.
                     self.metrics.record_error(CONNECTION_RESET)
-                    self._finish_span(conn, "reset")
+                    conn.finish_span("reset")
                     return False
                 failed = yield from self._collect_replies(conn, [pending])
                 if failed:
                     return False
                 conn.client_close()
-                self._finish_span(conn, "closed")
+                conn.finish_span("closed")
             if group_index < len(plan.groups) - 1:
                 yield self.sim.timeout(plan.think_times[group_index])
         return True
@@ -194,7 +189,7 @@ class EmulatedClient:
             except ResponseTimeout:
                 self.metrics.record_error(CLIENT_TIMEOUT)
                 conn.client_close()
-                self._finish_span(conn, "client_timeout")
+                conn.finish_span("client_timeout")
                 return True
             response_time = done_at - pending.sent_at
             ttfb = pending.first_byte.value - pending.sent_at

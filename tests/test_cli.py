@@ -149,16 +149,19 @@ def test_parser_requires_command():
 
 
 def test_run_command_with_trace(capsys):
+    # Event counts moved from `run --trace` to the `observe` report.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--trace"])
     rc = main([
-        "run", "--server", "nio", "--threads", "1",
+        "observe", "--server", "nio", "--threads", "1",
         "--clients", "15", "--cpu-speed", "0.2",
         "--duration", "4", "--warmup", "2",
-        "--trace",
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "trace event counts" in out
-    assert "trace_ev" in out
+    assert "connection-lifecycle event counts" in out
+    assert "conn/established: " in out
+    assert "conn/server_close: " in out
 
 
 def test_observe_command_report(capsys):

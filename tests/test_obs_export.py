@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.obs import (
+    Observer,
     PhaseProfiler,
-    SpanRecorder,
     format_phase_table,
     format_registry_table,
     render_timeline,
@@ -28,9 +28,9 @@ class FakeClock:
 
 
 @pytest.fixture()
-def recorder():
+def obs():
     clock = FakeClock()
-    rec = SpanRecorder(clock, capacity=16)
+    rec = Observer(clock, capacity=16)
 
     def run(marks, status="closed"):
         span = rec.open()
@@ -57,18 +57,18 @@ def recorder():
 # JSONL
 # ---------------------------------------------------------------------------
 
-def test_jsonl_round_trip(recorder):
-    text = spans_to_jsonl(recorder.spans)
+def test_jsonl_round_trip(obs):
+    text = spans_to_jsonl(obs.spans)
     assert len(text.splitlines()) == 2
     clones = spans_from_jsonl(text)
-    for original, clone in zip(recorder.spans, clones):
+    for original, clone in zip(obs.spans, clones):
         assert clone.to_dict() == original.to_dict()
     # Re-serialising the parsed spans is a fixpoint.
     assert spans_to_jsonl(clones) == text
 
 
-def test_jsonl_skips_blank_lines(recorder):
-    text = spans_to_jsonl(recorder.spans) + "\n\n"
+def test_jsonl_skips_blank_lines(obs):
+    text = spans_to_jsonl(obs.spans) + "\n\n"
     assert len(spans_from_jsonl(text)) == 2
 
 
@@ -76,8 +76,8 @@ def test_jsonl_skips_blank_lines(recorder):
 # Chrome trace_event
 # ---------------------------------------------------------------------------
 
-def test_chrome_trace_structure(recorder):
-    trace = spans_to_chrome_trace(recorder.spans)
+def test_chrome_trace_structure(obs):
+    trace = spans_to_chrome_trace(obs.spans)
     assert trace["displayTimeUnit"] == "ms"
     events = trace["traceEvents"]
     json.dumps(trace)  # must be serialisable as-is
@@ -95,18 +95,18 @@ def test_chrome_trace_structure(recorder):
         assert e["dur"] >= 0.0
 
 
-def test_chrome_trace_parses_back_to_phases(recorder):
-    # The exported phases are exactly the recorder's phase intervals.
+def test_chrome_trace_parses_back_to_phases(obs):
+    # The exported phases are exactly the obs's phase intervals.
     from repro.obs import phase_intervals
 
-    trace = spans_to_chrome_trace(recorder.spans)
+    trace = spans_to_chrome_trace(obs.spans)
     by_cid = {}
     for e in trace["traceEvents"]:
         if e["ph"] == "X":
             by_cid.setdefault(e["tid"], []).append(
                 (e["name"], e["ts"] / 1e6, (e["ts"] + e["dur"]) / 1e6)
             )
-    for span in recorder.spans:
+    for span in obs.spans:
         expected = [
             (p, pytest.approx(a), pytest.approx(b))
             for p, a, b in phase_intervals(span)
@@ -118,26 +118,26 @@ def test_chrome_trace_parses_back_to_phases(recorder):
 # report renderers
 # ---------------------------------------------------------------------------
 
-def test_format_phase_table(recorder):
-    table = format_phase_table(recorder.registry)
+def test_format_phase_table(obs):
+    table = format_phase_table(obs.registry)
     assert "req_service" in table
     assert "conn_failed_wait" in table
 
 
-def test_format_registry_table(recorder):
-    table = format_registry_table(recorder.registry)
+def test_format_registry_table(obs):
+    table = format_registry_table(obs.registry)
     assert "spans_closed" in table
     assert "spans_connect_timeout" in table
 
 
-def test_render_timeline_and_slowest(recorder):
-    span = list(recorder.spans)[0]
+def test_render_timeline_and_slowest(obs):
+    span = list(obs.spans)[0]
     art = render_timeline(span)
     assert "service" in art
     assert art.startswith("conn 0: closed")
-    out = render_slowest(recorder, n=2)
+    out = render_slowest(obs, n=2)
     assert out.count("conn ") == 2
-    assert render_slowest(SpanRecorder(lambda: 0.0)) is None
+    assert render_slowest(Observer(lambda: 0.0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +145,11 @@ def test_render_timeline_and_slowest(recorder):
 # ---------------------------------------------------------------------------
 
 def test_profiler_attribution_and_shares():
-    prof = PhaseProfiler()
-    prof.add("parse", 1.0)
-    prof.add("service", 2.0)
-    prof.add("parse", 1.0)
+    obs = Observer(lambda: 0.0)
+    obs.cpu("parse", 1.0)
+    obs.cpu("service", 2.0)
+    obs.cpu("parse", 1.0)
+    prof = obs.profile
     assert prof.attributed == pytest.approx(4.0)
     snap = prof.snapshot(total=5.0)
     assert snap["unattributed"] == pytest.approx(1.0)
@@ -158,11 +159,13 @@ def test_profiler_attribution_and_shares():
 
 
 def test_profiler_merge_and_table():
-    a, b = PhaseProfiler(), PhaseProfiler()
-    a.add("select", 1.0)
-    b.add("select", 2.0)
-    b.add("transmit", 3.0)
-    a.merge(b)
+    # The view shares the observer's ledger: attribution made after the
+    # view was taken (by any site) shows up in it.
+    obs = Observer(lambda: 0.0)
+    a = obs.profile
+    obs.cpu("select", 1.0)
+    obs.cpu("select", 2.0)
+    obs.cpu("transmit", 3.0)
     assert a.cpu_seconds == {"select": 3.0, "transmit": 3.0}
     assert "select" in a.table()
     assert PhaseProfiler().table() == "(no CPU attributed)"

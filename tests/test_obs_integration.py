@@ -7,7 +7,7 @@ import pytest
 from repro.core import Scenario, ServerSpec, WorkloadSpec
 from repro.core.experiment import Experiment
 from repro.net import NetworkSpec
-from repro.obs import Registry, SpanRecorder
+from repro.obs import Observer, Registry
 from repro.osmodel import MachineSpec
 
 
@@ -30,11 +30,11 @@ def _run_observed(kind, threads, clients=60):
 )
 def test_observed_run_all_architectures(kind, threads):
     experiment, metrics = _run_observed(kind, threads)
-    recorder, profiler = experiment.recorder, experiment.profiler
+    obs = experiment.telemetry
 
     # Spans were recorded and every one was terminated.
-    assert len(recorder) > 0
-    assert all(s.status is not None for s in recorder.spans)
+    assert len(obs) > 0
+    assert all(s.status is not None for s in obs.spans)
     assert metrics.throughput_rps > 0
 
     # The breakdown made it into the run's server stats.
@@ -47,12 +47,19 @@ def test_observed_run_all_architectures(kind, threads):
     )
     assert stats["obs_service_s"] > 0.0
 
-    # The profiler attributed CPU to parse + service at least, and the
+    # The observer attributed CPU to parse + service at least, and the
     # attribution cannot exceed wall-clock x CPUs for the whole run
     # (warmup + measurement + drain all charge the same CPUs).
-    assert profiler.cpu_seconds["parse"] > 0.0
-    assert profiler.cpu_seconds["service"] > 0.0
-    assert 0.0 < profiler.attributed < 60.0 * experiment.machine.cpus
+    assert obs.cpu_seconds["parse"] > 0.0
+    assert obs.cpu_seconds["service"] > 0.0
+    assert 0.0 < obs.profile.attributed < 60.0 * experiment.machine.cpus
+
+    # Lifecycle events are counted; spans keep only their phase marks.
+    established = sum(s.first("established") is not None for s in obs.spans)
+    assert obs.dropped == 0
+    assert obs.counts[("conn", "established")] == established > 0
+    assert obs.counts[("conn", "server_close")] > 0
+    assert all(s.first("server_close") is None for s in obs.spans)
 
 
 def test_observe_disabled_by_default():
@@ -64,8 +71,7 @@ def test_observe_disabled_by_default():
         network=scenario.network,
     )
     metrics = experiment.run()
-    assert experiment.recorder is None
-    assert experiment.profiler is None
+    assert experiment.telemetry is None
     assert "obs_queue_share" not in metrics.server_stats
 
 
@@ -81,8 +87,8 @@ def test_observed_run_is_deterministic():
 def test_profiler_select_phase_only_on_event_driven():
     exp_nio, _ = _run_observed("nio", 1)
     exp_httpd, _ = _run_observed("httpd", 64)
-    assert exp_nio.profiler.cpu_seconds.get("select", 0.0) > 0.0
-    assert "select" not in exp_httpd.profiler.cpu_seconds
+    assert exp_nio.telemetry.cpu_seconds.get("select", 0.0) > 0.0
+    assert "select" not in exp_httpd.telemetry.cpu_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +113,11 @@ def test_live_metrics_endpoint_and_spans(which):
     )
 
     docroot = DocRoot.synthetic(n_files=4)
-    recorder = SpanRecorder(time.monotonic, capacity=64)
+    obs = Observer(time.monotonic, capacity=64)
     if which == "event":
-        server = AsyncioEventServer(docroot, recorder=recorder)
+        server = AsyncioEventServer(docroot, obs=obs)
     else:
-        server = ThreadPoolHttpServer(
-            docroot, pool_size=2, recorder=recorder
-        )
+        server = ThreadPoolHttpServer(docroot, pool_size=2, obs=obs)
     server.start()
     try:
         # One real file request, then scrape the metrics endpoint.
@@ -133,13 +137,13 @@ def test_live_metrics_endpoint_and_spans(which):
 
     # Both closed connections produced finished wall-clock spans.
     deadline = time.time() + 5.0
-    while len(recorder) < 2 and time.time() < deadline:
+    while len(obs) < 2 and time.time() < deadline:
         time.sleep(0.01)
-    assert len(recorder) >= 2
-    span = recorder.spans[0]
+    assert len(obs) >= 2
+    span = obs.spans[0]
     assert span.status in ("closed", "reset", "idle_reap")
     assert span.first("accept") is not None
-    assert recorder.registry.hist_total("req_service") >= 0.0
+    assert obs.registry.hist_total("req_service") >= 0.0
 
 
 def test_live_servers_share_registry_metric_surface():

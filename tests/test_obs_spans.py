@@ -1,8 +1,8 @@
-"""Unit tests for connection spans, phase intervals and the recorder."""
+"""Unit tests for connection spans, phase intervals and the obs."""
 
 import pytest
 
-from repro.obs import ConnSpan, SpanRecorder, phase_intervals
+from repro.obs import ConnSpan, Observer, phase_intervals
 from repro.obs.spans import QUEUE_HISTOGRAMS, SERVICE_HISTOGRAMS
 
 
@@ -22,17 +22,17 @@ def clock():
 
 
 @pytest.fixture()
-def recorder(clock):
-    return SpanRecorder(clock, capacity=8)
+def obs(clock):
+    return Observer(clock, capacity=8)
 
 
-def _lifecycle(recorder, clock, marks, status="closed"):
+def _lifecycle(obs, clock, marks, status="closed"):
     """Open a span, stamp ``marks`` as (name, t) pairs, finish at last t."""
-    span = recorder.open()
+    span = obs.open()
     for name, t in marks:
         clock.t = t
         span.mark(name)
-    recorder.finish(span, status)
+    obs.finish(span, status)
     return span
 
 
@@ -40,8 +40,8 @@ def _lifecycle(recorder, clock, marks, status="closed"):
 # ConnSpan
 # ---------------------------------------------------------------------------
 
-def test_span_marks_and_duration(recorder, clock):
-    span = recorder.open()
+def test_span_marks_and_duration(obs, clock):
+    span = obs.open()
     assert span.duration == 0.0
     clock.t = 1.5
     span.mark("backlog_enter")
@@ -49,14 +49,14 @@ def test_span_marks_and_duration(recorder, clock):
     assert span.first("backlog_enter") == 1.5
     assert span.first("accept") is None
     clock.t = 2.0
-    recorder.finish(span, "closed")
+    obs.finish(span, "closed")
     assert span.t_end == 2.0
     assert span.duration == 2.0
 
 
-def test_span_dict_round_trip(recorder, clock):
+def test_span_dict_round_trip(obs, clock):
     span = _lifecycle(
-        recorder, clock,
+        obs, clock,
         [("backlog_enter", 0.1), ("accept", 0.2), ("req_arrive", 0.3)],
     )
     clone = ConnSpan.from_dict(span.to_dict())
@@ -70,9 +70,9 @@ def test_span_dict_round_trip(recorder, clock):
 # phase_intervals
 # ---------------------------------------------------------------------------
 
-def test_intervals_happy_path(recorder, clock):
+def test_intervals_happy_path(obs, clock):
     span = _lifecycle(
-        recorder, clock,
+        obs, clock,
         [
             ("backlog_enter", 1.0),
             ("established", 1.1),
@@ -93,10 +93,10 @@ def test_intervals_happy_path(recorder, clock):
     assert "syn_abandoned" not in phases
 
 
-def test_intervals_fifo_matching_for_pipelined_requests(recorder, clock):
+def test_intervals_fifo_matching_for_pipelined_requests(obs, clock):
     # Two requests arrive before either is served: waits must pair FIFO.
     span = _lifecycle(
-        recorder, clock,
+        obs, clock,
         [
             ("backlog_enter", 0.0),
             ("accept", 0.0),
@@ -112,15 +112,15 @@ def test_intervals_fifo_matching_for_pipelined_requests(recorder, clock):
     assert waits == [(1.0, 3.0), (2.0, 5.0)]
 
 
-def test_intervals_syn_abandoned(recorder, clock):
-    span = _lifecycle(recorder, clock, [], status="connect_timeout")
+def test_intervals_syn_abandoned(obs, clock):
+    span = _lifecycle(obs, clock, [], status="connect_timeout")
     clockless = {p for p, _, _ in phase_intervals(span)}
     assert clockless == {"syn_abandoned"}
 
 
-def test_intervals_backlog_abandoned(recorder, clock):
+def test_intervals_backlog_abandoned(obs, clock):
     span = _lifecycle(
-        recorder, clock, [("backlog_enter", 1.0)], status="connect_timeout"
+        obs, clock, [("backlog_enter", 1.0)], status="connect_timeout"
     )
     phases = {p: (a, b) for p, a, b in phase_intervals(span)}
     assert phases["syn"] == (0.0, 1.0)
@@ -128,9 +128,9 @@ def test_intervals_backlog_abandoned(recorder, clock):
     assert "backlog" not in phases
 
 
-def test_intervals_queue_abandoned_closes_at_t_end(recorder, clock):
+def test_intervals_queue_abandoned_closes_at_t_end(obs, clock):
     span = _lifecycle(
-        recorder, clock,
+        obs, clock,
         [("backlog_enter", 0.5), ("accept", 1.0), ("req_arrive", 2.0)],
         status="client_timeout",
     )
@@ -139,45 +139,45 @@ def test_intervals_queue_abandoned_closes_at_t_end(recorder, clock):
 
 
 # ---------------------------------------------------------------------------
-# SpanRecorder
+# Observer
 # ---------------------------------------------------------------------------
 
-def test_finish_is_idempotent_and_none_safe(recorder, clock):
-    recorder.finish(None, "closed")  # no-op
-    span = recorder.open()
-    recorder.finish(span, "closed")
-    recorder.finish(span, "reset")  # second finish ignored
+def test_finish_is_idempotent_and_none_safe(obs, clock):
+    obs.finish(None, "closed")  # no-op
+    span = obs.open()
+    obs.finish(span, "closed")
+    obs.finish(span, "reset")  # second finish ignored
     assert span.status == "closed"
-    assert len(recorder) == 1
+    assert len(obs) == 1
 
 
 def test_ring_eviction_counts_drops(clock):
-    recorder = SpanRecorder(clock, capacity=2)
+    obs = Observer(clock, capacity=2)
     for _ in range(5):
-        recorder.finish(recorder.open(), "closed")
-    assert len(recorder) == 2
-    assert recorder.dropped == 3
+        obs.finish(obs.open(), "closed")
+    assert len(obs) == 2
+    assert obs.dropped == 3
     # Aggregates keep full fidelity even though spans were evicted.
-    assert recorder.registry.counter("spans_closed").value == 5
+    assert obs.registry.counter("spans_closed").value == 5
 
 
 def test_capacity_validation(clock):
     with pytest.raises(ValueError):
-        SpanRecorder(clock, capacity=0)
+        Observer(clock, capacity=0)
 
 
-def test_flush_finishes_open_spans(recorder, clock):
-    a = recorder.open()
-    b = recorder.open()
-    recorder.finish(a, "closed")
-    assert recorder.flush() == 1
+def test_flush_finishes_open_spans(obs, clock):
+    a = obs.open()
+    b = obs.open()
+    obs.finish(a, "closed")
+    assert obs.flush() == 1
     assert b.status == "unfinished"
-    assert recorder.flush() == 0
+    assert obs.flush() == 0
 
 
-def test_aggregation_and_breakdown(recorder, clock):
+def test_aggregation_and_breakdown(obs, clock):
     _lifecycle(
-        recorder, clock,
+        obs, clock,
         [
             ("backlog_enter", 1.0),   # 1.0 syn wait (queue)
             ("accept", 3.0),          # 2.0 backlog wait (queue)
@@ -190,11 +190,11 @@ def test_aggregation_and_breakdown(recorder, clock):
     )
     # A never-established connection: entire 5 s lifetime is failed wait.
     clock.t = 10.0
-    failed = recorder.open()
+    failed = obs.open()
     clock.t = 15.0
-    recorder.finish(failed, "connect_timeout")
+    obs.finish(failed, "connect_timeout")
 
-    reg = recorder.registry
+    reg = obs.registry
     assert reg.hist_total("conn_failed_wait") == pytest.approx(5.0)
     assert sum(reg.hist_total(n) for n in QUEUE_HISTOGRAMS) == pytest.approx(
         1.0 + 2.0 + 3.0 + 5.0
@@ -202,7 +202,7 @@ def test_aggregation_and_breakdown(recorder, clock):
     assert sum(reg.hist_total(n) for n in SERVICE_HISTOGRAMS) == pytest.approx(
         2.0 + 2.0
     )
-    b = recorder.breakdown()
+    b = obs.breakdown()
     assert b["queue_wait_s"] == pytest.approx(11.0)
     assert b["service_s"] == pytest.approx(4.0)
     assert b["queue_share"] == pytest.approx(11.0 / 15.0)
@@ -211,14 +211,14 @@ def test_aggregation_and_breakdown(recorder, clock):
     assert reg.counter("spans_connect_timeout").value == 1
 
 
-def test_breakdown_empty_recorder(recorder):
-    b = recorder.breakdown()
+def test_breakdown_empty_recorder(obs):
+    b = obs.breakdown()
     assert b["queue_share"] == 0.0 and b["service_share"] == 0.0
 
 
-def test_slowest_orders_by_duration(recorder, clock):
-    quick = _lifecycle(recorder, clock, [("backlog_enter", 2.5)])
+def test_slowest_orders_by_duration(obs, clock):
+    quick = _lifecycle(obs, clock, [("backlog_enter", 2.5)])
     clock.t = 3.0
-    slow = _lifecycle(recorder, clock, [("backlog_enter", 20.0)])
+    slow = _lifecycle(obs, clock, [("backlog_enter", 20.0)])
     assert slow.duration > quick.duration
-    assert recorder.slowest(2) == [slow, quick]
+    assert obs.slowest(2) == [slow, quick]

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.obs import Observer
 from repro.obs.spans import ConnSpan
 from repro.obs.trace import (
     SEGMENT_TIERS,
@@ -179,16 +180,29 @@ def test_tracer_ring_eviction_is_counted():
 
 
 def test_unregistered_span_is_skipped():
-    tracer = ClusterTracer(seed=1)
-    span = _span(4, [("req_sent", 1.0), ("reply_done", 1.5)])
-    tracer.harvest(span)  # never registered: slowloris / unrouted
-    assert len(tracer) == 0
-    tracer.register(span, "r0", "wan")
-    tracer.harvest(span)
-    assert len(tracer) == 1
-    # The route is popped on harvest: a second finish cannot double-count.
-    tracer.harvest(span)
-    assert len(tracer) == 1
+    clock = [0.0]
+    obs = Observer.for_cluster(lambda: clock[0], seed=1)
+
+    def request(span):
+        clock[0] += 1.0
+        span.mark("req_sent")
+        clock[0] += 0.5
+        span.mark("reply_done")
+
+    unrouted = obs.open()
+    request(unrouted)
+    obs.finish(unrouted, "closed")  # never routed: slowloris / unrouted
+    assert len(obs.tracer) == 0
+    routed = obs.open()
+    obs.routed(routed, "r0", "wan")
+    request(routed)
+    obs.finish(routed, "closed")
+    assert len(obs.tracer) == 1
+    (trace,) = obs.tracer.traces
+    assert (trace.rid, trace.wan_class, trace.cid) == ("r0", "wan", 1)
+    # Finishing is idempotent: a second finish cannot double-count.
+    obs.finish(routed, "reset")
+    assert len(obs.tracer) == 1
 
 
 # -- export ---------------------------------------------------------------
@@ -199,7 +213,7 @@ def _sample_traces():
         ("req_sent", 1.0), ("req_arrive", 1.1), ("svc_start", 1.2),
         ("svc_end", 1.4), ("tx_start", 1.4), ("reply_done", 1.8),
     ])
-    tracer.register(span, "r1", "dsl")
+    span.route = ("r1", "dsl")
     tracer.harvest(span)
     tracer.record_cache_hit("wan", 2.0, 2.1, 2.2, 2.3)
     return list(tracer.traces)

@@ -141,12 +141,13 @@ def test_utilization_saturated():
 
 
 def test_run_helper_in_process():
+    # A process yields the burst's completion event directly.
     sim = Simulator()
     cpu = CPU(sim, nproc=1)
     trace = []
 
     def proc():
-        yield from cpu.run(0.25)
+        yield cpu.execute(0.25)
         trace.append(sim.now)
 
     sim.process(proc())
