@@ -1,7 +1,8 @@
 """Scale-mode smoke benchmark: a 50k-session fluid population.
 
-One aggregated :class:`~repro.workload.fluid.FluidLoadGenerator` run —
-50,000 client sessions against the best uniprocessor configuration —
+One :class:`~repro.workload.fluid.LoadGenerator` run in the aggregate
+regime — 50,000 client sessions against the best uniprocessor
+configuration —
 exercising the whole scale path: cohort binning, budgeted
 materialisation, the SYN retry ladder and batched abandonment.  The
 floor check (``check_perf_floor.py``) converts the fastest round into

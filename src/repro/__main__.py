@@ -179,19 +179,9 @@ def _mounted_store(args: argparse.Namespace):
 
 
 def _print_cache_summary(store=None) -> None:
-    """One summary block: workload caches, and the run store if mounted."""
-    from .http import population_cache_stats
-    from .workload import workload_cache_stats
-
-    pop = population_cache_stats()
-    wl = workload_cache_stats()
-    print(
-        f"\n[caches] file population: {pop['hits']} hits, "
-        f"{pop['misses']} misses; surge workload: {wl['hits']} hits, "
-        f"{wl['misses']} misses"
-    )
+    """The run store's hit/miss summary, when one is mounted."""
     if store is not None:
-        print(f"[caches] {store.summary()}")
+        print(f"\n[caches] {store.summary()}")
 
 
 def _run_profiled(fn):
@@ -235,7 +225,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.stats:
         for key, value in sorted(metrics.server_stats.items()):
             print(f"{key:>24s}: {value}")
-    _print_cache_summary()
     return 0
 
 

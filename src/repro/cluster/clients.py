@@ -28,9 +28,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..metrics.collectors import CLIENT_TIMEOUT, CONNECTION_RESET, MetricsHub
+from ..metrics.collectors import CLIENT_TIMEOUT, MetricsHub
 from ..net.link import DuplexLink
-from ..net.tcp import ConnectTimeout, Connection, ResetByServer
+from ..net.tcp import ConnectTimeout, Connection
 from ..obs.hist import Registry
 from ..sim.core import Simulator
 from ..sim.rng import RandomStreams
@@ -143,11 +143,13 @@ class FanoutMetrics:
 class ClusterClient(EmulatedClient):
     """An emulated WAN client whose connections go through the balancer.
 
-    The base class drives sessions against ``self.listener``; here the
-    listener is chosen per connection by the balancer, and the serving
-    replica keeps a lease on the connection (``replica.live_conns``) so
-    the rolling-restart driver can reset in-flight connections when a
-    replica goes down.
+    It runs the base session engine and changes only where a connection
+    comes from and what ending one releases: :meth:`_connect` asks the
+    balancer for a replica per connection and keeps the lease on
+    ``self.replica``; :meth:`_finish` returns the balancer slot and the
+    replica's ``live_conns`` entry, through which the rolling-restart
+    driver resets in-flight connections.  The session and collection
+    overrides add the cache tier.
     """
 
     def __init__(
@@ -168,46 +170,32 @@ class ClusterClient(EmulatedClient):
         wan_class: str = "",
     ) -> None:
         super().__init__(
-            sim, index, None, duplex, workload, metrics, rng, config
+            sim, index, None, duplex, workload, metrics, rng, config,
+            sessions_limit,
         )
         self.balancer = balancer
         self.route_rng = route_rng
         self.cache = cache
         self.cache_tier = cache_tier
-        self.sessions_limit = sessions_limit
         #: The run's :class:`~repro.obs.Observer` (or ``None``): it
         #: learns each connection's route, cache lookups and cache hits.
         self.obs = obs
         self.wan_class = wan_class
+        #: The replica holding the current connection's lease.
+        self.replica = None
 
     # ------------------------------------------------------------------
-    def run(self, start_delay: float = 0.0):
-        """Generator: session loop, finite when ``sessions_limit`` set."""
-        if start_delay > 0.0:
-            yield self.sim.timeout(start_delay)
-        while (
-            self.sessions_limit is None
-            or self.sessions_attempted < self.sessions_limit
-        ):
-            plan = self.workload.sample_session(self.rng)
-            self.sessions_attempted += 1
-            completed = yield from self._run_session(plan)
-            if completed:
-                self.metrics.record_session()
-            yield self.sim.timeout(plan.inter_session_gap)
-
-    # ------------------------------------------------------------------
-    def _route_and_connect(self) -> object:
-        """Generator: pick a replica and connect; (conn, replica) or Nones."""
+    def _connect(self) -> object:
+        """Generator: pick a replica and connect; the connection or None."""
         self.metrics.tier = None
         key = self.balancer.make_key(self.route_rng)
-        replica = self.balancer.pick(key)
+        replica = self.replica = self.balancer.pick(key)
         if replica is None:
             # Whole cluster unroutable: the front end cannot even open a
             # backend connection — the client sees a connect timeout.
             yield self.sim.timeout(self.config.client_timeout)
             self.metrics.record_error(CLIENT_TIMEOUT)
-            return None, None
+            return None
         self.metrics.tier = replica.metrics
         conn = Connection(self.sim, self.duplex, replica.listener)
         if self.obs is not None:
@@ -216,43 +204,18 @@ class ClusterClient(EmulatedClient):
             conn_time = yield from conn.connect(self.config.client_timeout)
         except ConnectTimeout:
             self.metrics.record_error(CLIENT_TIMEOUT)
-            conn.finish_span("connect_timeout")
-            self.balancer.release(replica)
+            self._finish(conn, "connect_timeout")
             self.metrics.tier = None
-            return None, None
+            return None
         self.metrics.record_connection(conn_time)
         replica.live_conns[conn] = None
-        return conn, replica
+        return conn
 
-    def _end_lease(self, conn: Connection, replica) -> None:
-        """Return the connection's balancer slot and replica lease."""
-        self.balancer.release(replica)
-        replica.live_conns.pop(conn, None)
-
-    def _send_group_routed(self, conn, replica, group: List) -> object:
-        """Generator: pipeline one group, re-routing on server reset.
-
-        Mirrors the base ``_send_group`` but a reconnect goes back
-        through the balancer (the front end does not pin a session to a
-        dead replica).  Returns ``(conn, replica, pendings)``; pendings
-        is None when retries ran out, conn is None when reconnection
-        failed.
-        """
-        for _attempt in range(self.config.max_reset_retries + 1):
-            pendings = []
-            try:
-                for request in group:
-                    pending = yield from conn.send_request(request)
-                    pendings.append(pending)
-                return conn, replica, pendings
-            except ResetByServer:
-                self.metrics.record_error(CONNECTION_RESET)
-                conn.finish_span("reset")
-                self._end_lease(conn, replica)
-                conn, replica = yield from self._route_and_connect()
-                if conn is None:
-                    return None, None, None
-        return conn, replica, None
+    def _finish(self, conn: Connection, status: str) -> None:
+        """End the span, then return the balancer slot and replica lease."""
+        conn.finish_span(status)
+        self.balancer.release(self.replica)
+        self.replica.live_conns.pop(conn, None)
 
     def _serve_from_cache(self, request) -> object:
         """Generator: answer ``request`` at the cache box (it is a hit)."""
@@ -280,9 +243,13 @@ class ClusterClient(EmulatedClient):
         self.metrics.tier = saved
 
     def _run_session(self, plan: SessionPlan) -> object:
-        """Generator: one session through cache + balancer."""
+        """Generator: one session through cache + balancer.
+
+        Cache hits are answered at the cache box; a group's misses go to
+        a replica over a connection opened for the first group that has
+        any.
+        """
         conn = None
-        replica = None
         ok = True
         for group_index, group in enumerate(plan.groups):
             misses = []
@@ -299,21 +266,15 @@ class ClusterClient(EmulatedClient):
                     misses.append(request)
             if misses:
                 if conn is None:
-                    conn, replica = yield from self._route_and_connect()
+                    conn = yield from self._connect()
                     if conn is None:
                         return False
-                conn, replica, pendings = yield from self._send_group_routed(
-                    conn, replica, misses
-                )
+                conn, pendings = yield from self._send_group(conn, misses)
                 if pendings is None:
-                    if conn is not None:
-                        conn.client_close()
-                        conn.finish_span("closed")
-                        self._end_lease(conn, replica)
-                    return False
+                    ok = False
+                    break
                 failed = yield from self._collect_replies(conn, pendings)
                 if failed:
-                    self._end_lease(conn, replica)
                     conn = None
                     ok = False
                     break
@@ -321,8 +282,7 @@ class ClusterClient(EmulatedClient):
                 yield self.sim.timeout(plan.think_times[group_index])
         if conn is not None:
             conn.client_close()
-            conn.finish_span("closed")
-            self._end_lease(conn, replica)
+            self._finish(conn, "closed")
         return ok
 
     def _collect_replies(self, conn: Connection, pendings: List) -> object:
@@ -443,6 +403,16 @@ def flash_offsets(flash: FlashCrowdSpec) -> List[float]:
     ]
 
 
+def _class_of(classes, counts: List[int], position: int) -> ClientClassSpec:
+    """The class of the ``position``-th client when ``classes`` take
+    ``counts`` consecutive indices each."""
+    for spec, count in zip(classes, counts):
+        if position < count:
+            return spec
+        position -= count
+    return classes[-1]  # pragma: no cover
+
+
 class ClusterLoadGenerator:
     """Builds the whole client population: classes, adversaries, surge."""
 
@@ -477,22 +447,13 @@ class ClusterLoadGenerator:
         self.cache_tier = cache_tier
         self.flash = flash
         self.obs = obs
-        self.clients: List[ClusterClient] = []
         self.attackers: List[SlowlorisClient] = []
 
     # ------------------------------------------------------------------
-    def _class_of(self, counts: List[int], position: int) -> ClientClassSpec:
-        """The class of the ``position``-th client under ``counts``."""
-        for spec, count in zip(self.cluster.classes, counts):
-            if position < count:
-                return spec
-            position -= count
-        return self.cluster.classes[-1]  # pragma: no cover
-
     def _spawn_legit(
         self, i: int, spec: ClientClassSpec, offset: float,
         sessions_limit: Optional[int],
-    ) -> ClusterClient:
+    ) -> None:
         client = ClusterClient(
             self.sim,
             i,
@@ -509,13 +470,11 @@ class ClusterLoadGenerator:
             obs=self.obs,
             wan_class=spec.name,
         )
-        self.clients.append(client)
         self.sim.process(client.run(start_delay=offset), name=f"client-{i}")
-        return client
 
     def _spawn_attacker(
         self, i: int, spec: ClientClassSpec, offset: float
-    ) -> SlowlorisClient:
+    ) -> None:
         attacker = SlowlorisClient(
             self.sim,
             i,
@@ -528,28 +487,24 @@ class ClusterLoadGenerator:
         self.sim.process(
             attacker.run(start_delay=offset), name=f"attacker-{i}"
         )
-        return attacker
 
     def start(self, ramp: float = 2.0) -> None:
         """Spawn the steady population, plus the surge if configured."""
-        counts = apportion(self.n_clients, self.cluster.classes)
+        classes = self.cluster.classes
+        counts = apportion(self.n_clients, classes)
         for i in range(self.n_clients):
-            spec = self._class_of(counts, i)
+            spec = _class_of(classes, counts, i)
             offset = ramp * i / self.n_clients
             if spec.adversary == "slowloris":
                 self._spawn_attacker(i, spec, offset)
             else:
                 self._spawn_legit(i, spec, offset, None)
         if self.flash is not None:
-            legit = [c for c in self.cluster.classes if not c.adversary]
+            legit = [c for c in classes if not c.adversary]
             surge_counts = apportion(self.flash.surge_clients, legit)
             offsets = flash_offsets(self.flash)
             for j in range(self.flash.surge_clients):
-                spec = next(
-                    s
-                    for s, c in zip(legit, _running(surge_counts))
-                    if j < c
-                )
+                spec = _class_of(legit, surge_counts, j)
                 self._spawn_legit(
                     self.n_clients + j,
                     spec,
@@ -569,13 +524,3 @@ class ClusterLoadGenerator:
             ),
             "attack.reaped": sum(a.reaped for a in self.attackers),
         }
-
-
-def _running(counts: List[int]) -> List[int]:
-    """Cumulative sums: [3, 2, 1] -> [3, 5, 6]."""
-    out = []
-    acc = 0
-    for c in counts:
-        acc += c
-        out.append(acc)
-    return out

@@ -239,7 +239,7 @@ class ClusterExperiment:
             )
 
         files = FilePopulation.shared(self.seed, n_files=self.workload.n_files)
-        surge = SurgeWorkload.shared(files, self.workload.surge)
+        surge = SurgeWorkload(files, self.workload.surge)
         aggregate_hub = MetricsHub(
             sim, warmup=self.workload.warmup, duration=self.workload.duration
         )

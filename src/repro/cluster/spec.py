@@ -151,31 +151,6 @@ class ClientClassSpec:
                 f"expected one of {ADVERSARIES}"
             )
 
-    def to_fluid(self):
-        """This WAN class as a :class:`~repro.workload.fluid.FluidClass`.
-
-        Bridges the cluster tier's client-class vocabulary to the
-        million-client fluid population: the same name/weight/link
-        conditions drive a :class:`FluidLoadGenerator` cohort instead of
-        per-client WAN processes.  Adversary classes have no fluid
-        equivalent (a slowloris holds discrete connections by design) and
-        are rejected.
-        """
-        from ..workload.fluid import FluidClass
-
-        if self.adversary:
-            raise ValueError(
-                f"adversary class {self.name!r} cannot be aggregated; "
-                "fluid populations model legitimate SURGE sessions only"
-            )
-        return FluidClass(
-            name=self.name,
-            weight=self.weight,
-            bandwidth_bps=self.bandwidth_bps,
-            rtt_s=self.rtt_s,
-            loss=self.loss,
-        )
-
 
 @dataclass(frozen=True)
 class ClusterSpec:

@@ -19,7 +19,7 @@ from ..osmodel.machine import Machine, MachineSpec
 from ..servers.base import Server
 from ..sim.core import Simulator
 from ..sim.rng import RandomStreams
-from ..workload.httperf import LoadGenerator
+from ..workload.fluid import LoadGenerator
 from ..workload.surge import SurgeWorkload
 from .params import ServerSpec, WorkloadSpec
 
@@ -116,15 +116,12 @@ class Experiment:
         )
         network = Network(sim, self.network)
 
-        # Memoized per (seed, n_files): every point of a sweep shares one
-        # immutable document set + precomputed distribution tables instead
-        # of regenerating identical ones (REPRO_NO_WORKLOAD_CACHE=1 to
-        # disable).  shared() derives the same "files" stream this
-        # experiment's RandomStreams would, so results are byte-identical.
+        # shared() derives the same "files" stream this experiment's
+        # RandomStreams would.
         files = FilePopulation.shared(
             self.seed, n_files=self.workload.n_files
         )
-        surge = SurgeWorkload.shared(files, self.workload.surge)
+        surge = SurgeWorkload(files, self.workload.surge)
         metrics = MetricsHub(
             sim, warmup=self.workload.warmup, duration=self.workload.duration
         )
@@ -133,31 +130,17 @@ class Experiment:
         server.start()
 
         fluid = self.workload.fluid
-        if fluid is not None:
-            from ..workload.fluid import FluidLoadGenerator
-
-            generator = FluidLoadGenerator(
-                sim,
-                listener,
-                network,
-                surge,
-                metrics,
-                n_clients=self.workload.clients,
-                streams=streams,
-                config=self.workload.httperf,
-                fluid=fluid,
-            )
-        else:
-            generator = LoadGenerator(
-                sim,
-                listener,
-                network,
-                surge,
-                metrics,
-                n_clients=self.workload.clients,
-                streams=streams,
-                config=self.workload.httperf,
-            )
+        generator = LoadGenerator(
+            sim,
+            listener,
+            network,
+            surge,
+            metrics,
+            n_clients=self.workload.clients,
+            streams=streams,
+            config=self.workload.httperf,
+            fluid=fluid,
+        )
         generator.start(ramp=self.workload.effective_ramp)
 
         # Snapshot CPU busy-time at the window edges for utilisation.

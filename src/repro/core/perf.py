@@ -79,10 +79,11 @@ def _kernel_runner(name: str):
 
         return run
     if name == "cpu_bursts":
-        # Completion goes through CPU.execute_call — the bare-callback
-        # fast path the TCP reject charge and the fluid boundary use —
-        # so the bench measures the station's real hot-path cost, not
-        # Event allocation + kernel dispatch on top of it.
+        # Completion goes through CPU.execute_call, the station's
+        # bare-callback path, so the bench measures the station's own
+        # cost rather than Event allocation + kernel dispatch on top of
+        # it.  (Model code bills SYN rejects and the fluid flood drop
+        # with CPU.charge; only this bench calls execute_call.)
         def run(n: int) -> int:
             sim = Simulator()
             cpu = CPU(sim, nproc=2, smp_efficiency=1.0)

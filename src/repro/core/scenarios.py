@@ -71,7 +71,7 @@ OVERLOAD_UP = Scenario(
 )
 
 #: Million-client scale testbed: the paper's UP-1G environment driven far
-#: past the discrete generator's practical range by an aggregated fluid
+#: past the pinned population's practical range by an aggregated fluid
 #: client population (``WorkloadSpec.fluid``).  The environment itself is
 #: UP_GIGABIT; the distinct name marks sweeps whose client counts are
 #: session *populations*, not concurrent httperf processes.

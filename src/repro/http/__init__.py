@@ -1,13 +1,12 @@
 """HTTP substrate: messages, parser, protocol semantics, file population."""
 
-from .files import FilePopulation, population_cache_stats
+from .files import FilePopulation
 from .messages import Request, Response
 from .parser import ParsedRequest, ParseError, RequestParser, render_response_head
 from .protocol import HttpSemantics
 
 __all__ = [
     "FilePopulation",
-    "population_cache_stats",
     "Request",
     "Response",
     "ParsedRequest",

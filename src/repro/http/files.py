@@ -20,46 +20,11 @@ at peak reply rates on the 1 Gbit configuration).
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "FilePopulation",
-    "clear_population_cache",
-    "population_cache_stats",
-]
-
-#: Memoized populations keyed by (seed, n_files, extra kwargs); every
-#: point of a client-count sweep uses the same seed, so without this the
-#: N points regenerate N identical document sets.  Bounded FIFO.
-_POPULATION_CACHE: Dict[tuple, "FilePopulation"] = {}
-_POPULATION_CACHE_MAX = 32
-
-#: Hit/miss counters for the population cache, surfaced by the CLI
-#: summaries (``repro run/sweep/figures``); a "miss" is a population
-#: actually built, whether or not it was then cached.
-_POPULATION_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def _cache_enabled() -> bool:
-    """Workload caching is on unless ``REPRO_NO_WORKLOAD_CACHE`` is set."""
-    return os.environ.get("REPRO_NO_WORKLOAD_CACHE", "") == ""
-
-
-def clear_population_cache() -> None:
-    """Drop all memoized populations (tests, memory pressure)."""
-    _POPULATION_CACHE.clear()
-
-
-def population_cache_stats(reset: bool = False) -> Dict[str, int]:
-    """Snapshot of the population-cache hit/miss counters."""
-    out = dict(_POPULATION_CACHE_STATS)
-    if reset:
-        _POPULATION_CACHE_STATS["hits"] = 0
-        _POPULATION_CACHE_STATS["misses"] = 0
-    return out
+__all__ = ["FilePopulation"]
 
 
 class FilePopulation:
@@ -105,40 +70,25 @@ class FilePopulation:
         # Inverse-CDF sampling is ~20x faster than rng.choice(p=...).
         self._cdf = np.cumsum(probs)
         self._cdf[-1] = 1.0
-        # Populations are shared across sweep points (see shared());
-        # freezing the arrays turns any accidental mutation into an error
-        # instead of cross-point contamination.
+        # Servers, clients and caches all read these arrays; freezing
+        # them turns any accidental mutation into an error instead of
+        # cross-component contamination.
         for arr in (self.sizes, self._popularity_order, self._probs, self._cdf):
             arr.setflags(write=False)
 
     @classmethod
     def shared(cls, seed: int, n_files: int = 2000, **kwargs) -> "FilePopulation":
-        """Memoized population for ``(seed, n_files, kwargs)``.
+        """The population an experiment with run seed ``seed`` uses.
 
-        Byte-identical to ``FilePopulation(RandomStreams(seed)
-        .stream("files"), n_files=n_files, **kwargs)`` — the same named
-        stream derivation the :class:`~repro.core.experiment.Experiment`
-        uses — but built once per process instead of once per sweep
-        point.  Populations are immutable (arrays are read-only), so
-        sharing is safe.  Set ``REPRO_NO_WORKLOAD_CACHE=1`` to disable.
+        Same as ``FilePopulation(RandomStreams(seed).stream("files"),
+        n_files=n_files, **kwargs)`` — the named stream derivation the
+        :class:`~repro.core.experiment.Experiment` uses.
         """
         from ..sim.rng import RandomStreams
 
-        key = (int(seed), int(n_files), tuple(sorted(kwargs.items())))
-        if _cache_enabled():
-            cached = _POPULATION_CACHE.get(key)
-            if cached is not None:
-                _POPULATION_CACHE_STATS["hits"] += 1
-                return cached
-        _POPULATION_CACHE_STATS["misses"] += 1
-        population = cls(
+        return cls(
             RandomStreams(seed).stream("files"), n_files=n_files, **kwargs
         )
-        if _cache_enabled():
-            if len(_POPULATION_CACHE) >= _POPULATION_CACHE_MAX:
-                _POPULATION_CACHE.pop(next(iter(_POPULATION_CACHE)))
-            _POPULATION_CACHE[key] = population
-        return population
 
     # -- sampling ------------------------------------------------------------
     def sample_file(self, rng: np.random.Generator) -> Tuple[int, int]:

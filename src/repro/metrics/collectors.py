@@ -175,7 +175,6 @@ class MetricsHub:
         self.connection_time = StatAccumulator(seed=stat_seed)
 
         self.reply_series = IntervalSeries()
-        self.error_series = IntervalSeries()
 
     # -- gating ------------------------------------------------------------
     def in_window(self, t: Optional[float] = None) -> bool:
@@ -215,7 +214,6 @@ class MetricsHub:
         if not self.in_window():
             return
         self.errors[kind] += 1
-        self.error_series.add(self.sim.now - self.window_start)
 
     def record_errors(self, kind: str, count: int) -> None:
         """Count ``count`` errors of ``kind`` in one batch.
@@ -226,7 +224,6 @@ class MetricsHub:
         if count <= 0 or not self.in_window():
             return
         self.errors[kind] += count
-        self.error_series.add(self.sim.now - self.window_start, count)
 
     def record_connection(self, connection_time: float) -> None:
         """Record one successful TCP establishment."""

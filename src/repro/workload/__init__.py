@@ -8,15 +8,10 @@ from .distributions import (
     Geometric,
     Lognormal,
 )
-from .fluid import FluidClass, FluidConfig, FluidLoadGenerator
-from .httperf import EmulatedClient, HttperfConfig, LoadGenerator
+from .fluid import FluidClass, FluidConfig, LoadGenerator
+from .httperf import EmulatedClient, HttperfConfig
 from .sessionlog import ReplayWorkload, SessionLog
-from .surge import (
-    SessionPlan,
-    SurgeConfig,
-    SurgeWorkload,
-    workload_cache_stats,
-)
+from .surge import SessionPlan, SurgeConfig, SurgeWorkload
 
 __all__ = [
     "BoundedPareto",
@@ -28,7 +23,6 @@ __all__ = [
     "EmulatedClient",
     "FluidClass",
     "FluidConfig",
-    "FluidLoadGenerator",
     "HttperfConfig",
     "LoadGenerator",
     "ReplayWorkload",
@@ -36,5 +30,4 @@ __all__ = [
     "SessionPlan",
     "SurgeConfig",
     "SurgeWorkload",
-    "workload_cache_stats",
 ]

@@ -1,14 +1,17 @@
-"""Aggregated "fluid" client populations for million-client scale mode.
+"""The client population: pinned httperf clients or "fluid" cohorts.
 
-The discrete load generator (:mod:`repro.workload.httperf`) pays O(n)
-simulation state for ``n`` emulated clients: one generator process, one
+:class:`LoadGenerator` is the one population builder.  Its *pinned*
+regime (``fluid=None``, or a population within the boundary budget)
+runs one persistent :class:`~repro.workload.httperf.EmulatedClient`
+process per client: O(n) simulation state — one generator process, one
 numpy ``Generator`` and one pending timer per client.  That is faithful
 and fast up to the paper's 6000 clients, but it is the harness — not the
 SUT — that dominates at 100k-1M concurrent sessions (per-connection
 objects, per-client timers, per-session RNG draws).
 
-This module replaces the population with per-class *fluid* session
-sources that keep O(classes + bins + budget) state:
+Beyond the budget the *aggregate* regime replaces the population with
+per-class fluid session sources that keep O(classes + bins + budget)
+state:
 
 * the population is split across :class:`FluidClass` entries by weight
   (error-diffusion apportioning over classes sorted by name, so class
@@ -22,18 +25,17 @@ sources that keep O(classes + bins + budget) state:
   independent of construction order);
 * discrete events are emitted only where a connection touches the server
   boundary: up to ``budget`` sessions are *materialized* at a time as
-  pooled, free-listed ``__slots__`` drivers running the unmodified
-  :class:`~repro.workload.httperf.EmulatedClient` session logic against
-  real :class:`~repro.net.tcp.Connection` objects, and overflow SYN mass
+  pooled, free-listed (slotted) :class:`EmulatedClient` instances
+  running the one session engine against real
+  :class:`~repro.net.tcp.Connection` objects, and overflow SYN mass
   hitting a full backlog is charged to the SUT in one batch
   (:meth:`~repro.net.tcp.ListenSocket.drop_flood`).
 
 Equivalence contract: when the whole population fits the boundary
 budget (``n <= budget`` or ``budget is None``) the generator *pins*
-every client as a persistent discrete :class:`EmulatedClient` with the
-same per-client streams (``client[i]``), start offsets (``ramp * i / n``) and link
-round-robin the discrete generator uses — runs are byte-identical to
-discrete mode as long as no class overrides its access link.  Beyond the
+every client with per-client streams (``client[i]``), start offsets
+(``ramp * i / n``) and the network's link rotation — the same rows as
+``fluid=None`` as long as no class overrides its access link.  Beyond the
 budget the aggregate regime engages and equivalence is statistical; the
 fidelity contract is that ``budget`` must exceed the server's useful
 concurrency (the marginal aggregated client's fate — a client timeout —
@@ -58,7 +60,7 @@ from ..sim.rng import RandomStreams
 from .httperf import EmulatedClient, HttperfConfig
 from .surge import SurgeWorkload
 
-__all__ = ["FluidClass", "FluidConfig", "FluidLoadGenerator"]
+__all__ = ["FluidClass", "FluidConfig", "LoadGenerator"]
 
 #: Cohort stage marker: the batch has exhausted its SYN retries and
 #: abandons (one CLIENT_TIMEOUT per session) when its bin fires.
@@ -69,7 +71,7 @@ _ABANDON = -1
 class FluidClass:
     """One aggregated client class: a population share plus, optionally,
     WAN access-link conditions (``None`` = use the experiment network's
-    client links, preserving discrete-mode equivalence)."""
+    client links, preserving pinned-regime equivalence)."""
 
     name: str
     #: Relative share of the client population.
@@ -186,36 +188,6 @@ def _attempt_offsets(timeout: float) -> List[float]:
     return offsets
 
 
-class _FluidSession:
-    """Pooled per-session client state driving one discrete session.
-
-    The session-execution generators are the *same code objects* as the
-    discrete client's — borrowed from :class:`EmulatedClient` below — so
-    the server boundary sees byte-for-byte identical behaviour per
-    materialized session; only the surrounding population bookkeeping is
-    aggregated.  ``__slots__`` + the generator's free list keep the
-    per-session footprint to one small object reused across sessions.
-    """
-
-    __slots__ = (
-        "sim",
-        "index",
-        "listener",
-        "duplex",
-        "workload",
-        "metrics",
-        "rng",
-        "config",
-    )
-
-    # Unmodified discrete session semantics (see class docstring).
-    _connect = EmulatedClient._connect
-    _send_group = EmulatedClient._send_group
-    _collect_replies = EmulatedClient._collect_replies
-    _run_session = EmulatedClient._run_session
-    _run_session_http10 = EmulatedClient._run_session_http10
-
-
 class _ClassSource:
     """Per-class aggregate state: stream, link and bookkeeping."""
 
@@ -229,8 +201,13 @@ class _ClassSource:
         self.pname = f"fluid-{spec.name}"
 
 
-class FluidLoadGenerator:
-    """Drop-in for :class:`LoadGenerator` backed by fluid class sources."""
+class LoadGenerator:
+    """Spawns the whole client population, pinned or aggregated.
+
+    ``fluid=None`` pins every client (the paper's httperf population);
+    a :class:`FluidConfig` adds WAN classes and, beyond its budget, the
+    aggregate regime.
+    """
 
     def __init__(
         self,
@@ -254,9 +231,7 @@ class FluidLoadGenerator:
         self.n_clients = n_clients
         self.streams = streams
         self.config = config or HttperfConfig()
-        self.fluid = fluid or FluidConfig()
-        #: Pinned regime only: the persistent discrete clients.
-        self.clients: List[EmulatedClient] = []
+        self.fluid = fluid or FluidConfig(budget=None)
 
         self._aggregate = False
         self._sources: List[_ClassSource] = []
@@ -265,7 +240,7 @@ class FluidLoadGenerator:
         self._bins: Dict[int, Dict[tuple, int]] = {}
         self._scheduled: set = set()
         self._free = 0
-        self._pool: List[_FluidSession] = []
+        self._pool: List[EmulatedClient] = []
         self._link_rr = 0
 
         # Counters for stats()/BENCH_scale.json.
@@ -307,7 +282,7 @@ class FluidLoadGenerator:
         return links
 
     def start(self, ramp: float = 2.0) -> None:
-        """Start the population: pinned discrete or aggregated fluid."""
+        """Start the population: pinned clients or aggregated cohorts."""
         budget = self.fluid.budget
         if budget is None or self.n_clients <= budget:
             self._start_pinned(ramp)
@@ -317,11 +292,11 @@ class FluidLoadGenerator:
     def _start_pinned(self, ramp: float) -> None:
         """Whole population fits the boundary budget: pin every client.
 
-        Reproduces the discrete generator exactly — same ``client[i]``
-        streams, same start offsets, same link round-robin, same process
-        names — so fluid-mode rows are byte-identical to discrete-mode
-        rows whenever no class carries WAN overrides (the equivalence
-        gate the scale mode is pinned by).
+        Client ``i`` draws from the ``client[i]`` stream, starts at
+        ``ramp * i / n`` on ``network.link_for_client(i)`` (unless its
+        class carries WAN overrides) and runs as process ``client-{i}``
+        — so a fluid run within budget gives the same rows as
+        ``fluid=None`` whenever no class overrides its link.
         """
         links = self._class_links()
         classes = self.fluid.classes
@@ -344,7 +319,6 @@ class FluidLoadGenerator:
                 rng,
                 self.config,
             )
-            self.clients.append(client)
             offset = ramp * i / self.n_clients
             self.sim.process(client.run(start_delay=offset), name=f"client-{i}")
         self.sessions_materialized = self.n_clients
@@ -465,17 +439,15 @@ class FluidLoadGenerator:
 
     # -- the discrete boundary ----------------------------------------------
     def _materialize(self, source: _ClassSource, k: int) -> None:
-        """Promote ``k`` aggregated sessions to discrete boundary drivers."""
+        """Promote ``k`` aggregated sessions to pooled discrete clients."""
         self._free -= k
         self.sessions_materialized += k
         pool = self._pool
         for _ in range(k):
-            sess = pool.pop() if pool else _FluidSession()
-            sess.sim = self.sim
-            sess.listener = self.listener
-            sess.workload = self.workload
-            sess.metrics = self.metrics
-            sess.config = self.config
+            sess = pool.pop() if pool else EmulatedClient(
+                self.sim, 0, self.listener, None, self.workload,
+                self.metrics, None, self.config,
+            )
             sess.rng = source.rng
             sess.index = self._link_rr
             duplex = source.duplex
@@ -485,7 +457,7 @@ class FluidLoadGenerator:
             sess.duplex = duplex
             self.sim.process(self._drive(sess, source), name=source.pname)
 
-    def _drive(self, sess: _FluidSession, source: _ClassSource):
+    def _drive(self, sess: EmulatedClient, source: _ClassSource):
         """Generator: one full discrete session, then back to the fluid."""
         plan = self.workload.sample_session(sess.rng)
         ok = yield from sess._run_session(plan)
@@ -493,19 +465,10 @@ class FluidLoadGenerator:
             self.metrics.record_session()
         gap = plan.inter_session_gap
         self._free += 1
-        self._release(sess)
-        self._enqueue(source, 1, 0, None, self.sim.now + gap)
-
-    def _release(self, sess: _FluidSession) -> None:
-        """Return a session driver to the free list, references cleared."""
-        sess.rng = None
-        sess.duplex = None
-        sess.workload = None
-        sess.metrics = None
-        sess.listener = None
         self._pool.append(sess)
         if len(self._pool) > self.pool_peak:
             self.pool_peak = len(self._pool)
+        self._enqueue(source, 1, 0, None, self.sim.now + gap)
 
     # -- reporting -----------------------------------------------------------
     def stats(self) -> Dict[str, float]:

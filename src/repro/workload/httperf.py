@@ -14,8 +14,9 @@ as used in the paper:
   retries the group (httperf's connection re-establishment);
 * only successful replies contribute to response-time statistics.
 
-Client start times are staggered over a ramp so the measurement window
-sees steady state rather than a synchronized thundering herd.
+The population of these clients (start ramp, link rotation, the fluid
+regime beyond a boundary budget) is built by
+:class:`~repro.workload.fluid.LoadGenerator`.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from ..net.tcp import (
     ResponseTimeout,
 )
 from ..sim.core import Simulator
-from ..sim.rng import RandomStreams
 from .surge import SessionPlan, SurgeWorkload
 
-__all__ = ["HttperfConfig", "EmulatedClient", "LoadGenerator"]
+__all__ = ["HttperfConfig", "EmulatedClient"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,28 @@ class HttperfConfig:
 
 
 class EmulatedClient:
-    """One emulated client looping sessions forever."""
+    """One emulated client looping sessions (forever by default).
+
+    The one session engine: the pinned population, the pooled drivers
+    of the aggregate regime and the cluster's routed clients all run
+    these methods.  Every site that is done with a connection goes
+    through :meth:`_finish`, and every new connection through
+    :meth:`_connect`, so a subclass changes where connections go by
+    overriding those two alone.
+    """
+
+    __slots__ = (
+        "sim",
+        "index",
+        "listener",
+        "duplex",
+        "workload",
+        "metrics",
+        "rng",
+        "config",
+        "sessions_limit",
+        "sessions_attempted",
+    )
 
     def __init__(
         self,
@@ -70,6 +91,7 @@ class EmulatedClient:
         metrics: MetricsHub,
         rng: np.random.Generator,
         config: Optional[HttperfConfig] = None,
+        sessions_limit: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.index = index
@@ -79,14 +101,19 @@ class EmulatedClient:
         self.metrics = metrics
         self.rng = rng
         self.config = config or HttperfConfig()
+        #: Sessions to run before the process ends; ``None`` = forever.
+        self.sessions_limit = sessions_limit
         self.sessions_attempted = 0
 
     # ------------------------------------------------------------------
     def run(self, start_delay: float = 0.0):
-        """Generator: the client's eternal session loop."""
+        """Generator: the session loop, finite when ``sessions_limit`` set."""
         if start_delay > 0.0:
             yield self.sim.timeout(start_delay)
-        while True:
+        while (
+            self.sessions_limit is None
+            or self.sessions_attempted < self.sessions_limit
+        ):
             plan = self.workload.sample_session(self.rng)
             self.sessions_attempted += 1
             completed = yield from self._run_session(plan)
@@ -102,10 +129,14 @@ class EmulatedClient:
             conn_time = yield from conn.connect(self.config.client_timeout)
         except ConnectTimeout:
             self.metrics.record_error(CLIENT_TIMEOUT)
-            conn.finish_span("connect_timeout")
+            self._finish(conn, "connect_timeout")
             return None
         self.metrics.record_connection(conn_time)
         return conn
+
+    def _finish(self, conn: Connection, status: str) -> None:
+        """The client is done with ``conn``: end its span as ``status``."""
+        conn.finish_span(status)
 
     def _send_group(self, conn: Connection, group: List) -> object:
         """Generator: pipeline one request group.
@@ -122,7 +153,7 @@ class EmulatedClient:
                 return conn, pendings
             except ResetByServer:
                 self.metrics.record_error(CONNECTION_RESET)
-                conn.finish_span("reset")
+                self._finish(conn, "reset")
                 conn = yield from self._connect()
                 if conn is None:
                     return None, None
@@ -151,7 +182,7 @@ class EmulatedClient:
                 yield self.sim.timeout(plan.think_times[group_index])
         if conn is not None:
             conn.client_close()
-            conn.finish_span("closed")
+            self._finish(conn, "closed")
         return ok
 
     def _run_session_http10(self, plan: SessionPlan) -> object:
@@ -166,13 +197,13 @@ class EmulatedClient:
                 except ResetByServer:
                     # Unexpected on a fresh connection; count and bail.
                     self.metrics.record_error(CONNECTION_RESET)
-                    conn.finish_span("reset")
+                    self._finish(conn, "reset")
                     return False
                 failed = yield from self._collect_replies(conn, [pending])
                 if failed:
                     return False
                 conn.client_close()
-                conn.finish_span("closed")
+                self._finish(conn, "closed")
             if group_index < len(plan.groups) - 1:
                 yield self.sim.timeout(plan.think_times[group_index])
         return True
@@ -189,7 +220,7 @@ class EmulatedClient:
             except ResponseTimeout:
                 self.metrics.record_error(CLIENT_TIMEOUT)
                 conn.client_close()
-                conn.finish_span("client_timeout")
+                self._finish(conn, "client_timeout")
                 return True
             response_time = done_at - pending.sent_at
             ttfb = pending.first_byte.value - pending.sent_at
@@ -197,48 +228,3 @@ class EmulatedClient:
                 response_time, ttfb, pending.bytes_received
             )
         return False
-
-
-class LoadGenerator:
-    """Spawns and staggers the whole emulated-client population."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        listener: ListenSocket,
-        network,
-        workload: SurgeWorkload,
-        metrics: MetricsHub,
-        n_clients: int,
-        streams: RandomStreams,
-        config: Optional[HttperfConfig] = None,
-    ) -> None:
-        if n_clients < 1:
-            raise ValueError("need at least one client")
-        self.sim = sim
-        self.listener = listener
-        self.network = network
-        self.workload = workload
-        self.metrics = metrics
-        self.n_clients = n_clients
-        self.streams = streams
-        self.config = config or HttperfConfig()
-        self.clients: List[EmulatedClient] = []
-
-    def start(self, ramp: float = 2.0) -> None:
-        """Create all clients, staggering their first session over ``ramp``."""
-        for i in range(self.n_clients):
-            rng = self.streams.spawn("client", i)
-            client = EmulatedClient(
-                self.sim,
-                i,
-                self.listener,
-                self.network.link_for_client(i),
-                self.workload,
-                self.metrics,
-                rng,
-                self.config,
-            )
-            self.clients.append(client)
-            offset = ramp * i / self.n_clients
-            self.sim.process(client.run(start_delay=offset), name=f"client-{i}")

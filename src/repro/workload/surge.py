@@ -26,7 +26,6 @@ __all__ = [
     "SurgeConfig",
     "SessionPlan",
     "SurgeWorkload",
-    "workload_cache_stats",
 ]
 
 
@@ -93,32 +92,11 @@ class SessionPlan:
         return sum(len(g) for g in self.groups)
 
 
-#: Memoized workloads keyed by (population identity, config): the
-#: distribution objects are immutable and sampling is driven entirely by
-#: the caller's RNG, so one instance serves every point of a sweep.
-_WORKLOAD_CACHE: dict = {}
-_WORKLOAD_CACHE_MAX = 64
-
-#: Hit/miss counters, surfaced by the CLI summaries next to the
-#: population cache's (see ``workload_cache_stats``).
-_WORKLOAD_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def workload_cache_stats(reset: bool = False) -> dict:
-    """Snapshot of the session-workload cache hit/miss counters."""
-    out = dict(_WORKLOAD_CACHE_STATS)
-    if reset:
-        _WORKLOAD_CACHE_STATS["hits"] = 0
-        _WORKLOAD_CACHE_STATS["misses"] = 0
-    return out
-
-
 class SurgeWorkload:
     """Samples sessions against a :class:`FilePopulation`.
 
     Instances hold no sampling state of their own — every draw comes from
-    the ``rng`` handed to :meth:`sample_session` — so one workload can be
-    shared across experiments (see :meth:`shared`).
+    the ``rng`` handed to :meth:`sample_session`.
     """
 
     def __init__(
@@ -131,39 +109,6 @@ class SurgeWorkload:
         self._think = self.config.think_distribution()
         self._groups = self.config.groups_distribution()
         self._embedded = self.config.embedded_distribution()
-
-    @classmethod
-    def shared(
-        cls,
-        files: FilePopulation,
-        config: Optional[SurgeConfig] = None,
-    ) -> "SurgeWorkload":
-        """Memoized workload for ``(files, config)``.
-
-        Pairs with :meth:`FilePopulation.shared`: when the population is
-        the process-wide cached instance, the workload (and its
-        precomputed distribution objects) is reused too instead of being
-        rebuilt at every sweep point.  Honours ``REPRO_NO_WORKLOAD_CACHE``.
-        """
-        from ..http.files import _cache_enabled
-
-        config = config or SurgeConfig()
-        if not _cache_enabled():
-            _WORKLOAD_CACHE_STATS["misses"] += 1
-            return cls(files, config)
-        key = (id(files), config)
-        cached = _WORKLOAD_CACHE.get(key)
-        # Guard against id() reuse after the population was collected:
-        # the cached entry must reference the *same* population object.
-        if cached is not None and cached.files is files:
-            _WORKLOAD_CACHE_STATS["hits"] += 1
-            return cached
-        _WORKLOAD_CACHE_STATS["misses"] += 1
-        workload = cls(files, config)
-        if len(_WORKLOAD_CACHE) >= _WORKLOAD_CACHE_MAX:
-            _WORKLOAD_CACHE.pop(next(iter(_WORKLOAD_CACHE)))
-        _WORKLOAD_CACHE[key] = workload
-        return workload
 
     def sample_session(self, rng: np.random.Generator) -> SessionPlan:
         """Draw a complete session plan."""

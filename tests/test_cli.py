@@ -54,7 +54,6 @@ def test_sweep_with_store_resumes(tmp_path, capsys):
     assert main(argv) == 0
     cold = capsys.readouterr().out
     assert "2 points executed+stored" in cold
-    assert "file population" in cold
 
     assert main(argv) == 0
     warm = capsys.readouterr().out

@@ -6,7 +6,7 @@ statistical agreement in the aggregate regime) live in
 apportioning, the SYN ladder, batch metrics, vectorised gap draws, the
 CPU fast-path completions the boundary rides, the flood-drop batch
 path, the session free list, and the scale plumbing (CLI parsing,
-profile, cluster bridge).
+profile).
 """
 
 import json
@@ -103,22 +103,6 @@ def test_fluid_class_wan_detection():
     assert FluidClass("lossy", loss=0.02).wan
 
 
-def test_cluster_class_bridges_to_fluid():
-    from repro.cluster import ClientClassSpec
-
-    spec = ClientClassSpec(
-        "dsl", weight=2.0, bandwidth_bps=8e6, rtt_s=0.06, loss=0.02
-    )
-    cls = spec.to_fluid()
-    assert isinstance(cls, FluidClass)
-    assert (cls.name, cls.weight) == ("dsl", 2.0)
-    assert cls.bandwidth_bps == 8e6
-    assert cls.rtt_s == 0.06
-    assert cls.loss == 0.02
-    with pytest.raises(ValueError):
-        ClientClassSpec("bad", adversary="slowloris").to_fluid()
-
-
 # -- batch metrics and vectorised draws --------------------------------------
 
 def test_record_errors_batches_and_respects_the_window():
@@ -129,8 +113,7 @@ def test_record_errors_batches_and_respects_the_window():
     sim.call_later(1.5, hub.record_errors, CLIENT_TIMEOUT, 7)
     sim.call_later(1.5, hub.record_errors, CLIENT_TIMEOUT, 0)
     sim.run()
-    assert hub.errors[CLIENT_TIMEOUT] == 7
-    assert hub.error_series.rates()[0] == 7.0
+    assert dict(hub.errors) == {CLIENT_TIMEOUT: 7}
 
 
 def test_sample_gaps_matches_the_think_law():

@@ -1,18 +1,22 @@
 """Equivalence pinning for the fluid client population.
 
-The fluid generator's license to exist (DESIGN.md §13): it must change
-the *cost* of the client population, not the results.  Two regimes, two
+The fluid regime's license to exist (DESIGN.md §13): it must change the
+*cost* of the client population, not the results.  Two regimes, two
 contracts:
 
-* **pinned** (population fits the boundary budget): byte-identical
-  RunMetrics rows against the discrete generator — same streams, same
-  offsets, same link rotation — across architectures, scenarios and
-  random class mixes;
+* **pinned** (population fits the boundary budget): RunMetrics rows
+  identical to ``fluid=None`` — same streams, same offsets, same link
+  rotation — across architectures, scenarios and random class mixes.
+  ``fluid=None`` is the same :class:`~repro.workload.fluid.LoadGenerator`
+  pinning every client, so these tests pin the class and budget
+  plumbing; the discrete reference itself is the digests captured
+  before the generators were merged, in ``test_kernel_row_digests.py``;
 * **aggregate** (population exceeds the budget): statistical agreement
-  on saturated testbeds, pinned to explicit tolerances.  Saturation is
-  part of the contract — the budget must exceed the server's useful
-  concurrency for the marginal aggregated client's fate to match the
-  discrete model's (see the budget contract in repro/workload/fluid.py).
+  with ``fluid=None`` on saturated testbeds, pinned to explicit
+  tolerances.  Saturation is part of the contract — the budget must
+  exceed the server's useful concurrency for the marginal aggregated
+  client's fate to match the discrete model's (see the budget contract
+  in repro/workload/fluid.py).
 """
 
 import pytest

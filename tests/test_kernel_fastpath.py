@@ -460,59 +460,29 @@ def test_cancel_heavy_storm_matches_oracle_through_compaction():
     assert fired == _oracle_history(ops)
 
 
-# -- workload caching (rides along with the perf work) -----------------------
+# -- the seed-derived file population ----------------------------------------
 
 def test_shared_population_matches_direct_construction():
     import numpy as np
 
-    from repro.http.files import FilePopulation, clear_population_cache
+    from repro.http.files import FilePopulation
     from repro.sim.rng import RandomStreams
 
-    clear_population_cache()
     shared = FilePopulation.shared(42, n_files=500)
     direct = FilePopulation(RandomStreams(42).stream("files"), n_files=500)
     assert np.array_equal(shared.sizes, direct.sizes)
     assert np.array_equal(shared._popularity_order, direct._popularity_order)
-    # Second call returns the same memoized object; different keys do not.
-    assert FilePopulation.shared(42, n_files=500) is shared
-    assert FilePopulation.shared(43, n_files=500) is not shared
-    clear_population_cache()
-
-
-def test_population_cache_can_be_disabled(monkeypatch):
-    from repro.http.files import FilePopulation, clear_population_cache
-
-    clear_population_cache()
-    monkeypatch.setenv("REPRO_NO_WORKLOAD_CACHE", "1")
-    a = FilePopulation.shared(42, n_files=200)
-    b = FilePopulation.shared(42, n_files=200)
-    assert a is not b
 
 
 def test_shared_population_arrays_are_immutable():
     import numpy as np
 
-    from repro.http.files import FilePopulation, clear_population_cache
+    from repro.http.files import FilePopulation
 
-    clear_population_cache()
     population = FilePopulation.shared(42, n_files=200)
     with pytest.raises(ValueError):
         population.sizes[0] = 1
     assert isinstance(population.sizes, np.ndarray)
-    clear_population_cache()
-
-
-def test_shared_workload_is_memoized_per_population():
-    from repro.http.files import FilePopulation, clear_population_cache
-    from repro.workload.surge import SurgeWorkload
-
-    clear_population_cache()
-    files = FilePopulation.shared(42, n_files=200)
-    w1 = SurgeWorkload.shared(files)
-    w2 = SurgeWorkload.shared(files)
-    assert w1 is w2
-    assert w1.files is files
-    clear_population_cache()
 
 
 def test_yielded_timeout_type_check_is_exact():

@@ -74,6 +74,20 @@ def test_client_completes_sessions_and_records_metrics():
     assert client.sessions_attempted >= metrics.sessions_completed
 
 
+def test_sessions_limit_ends_the_client_process():
+    sim, _m, listener, duplex, workload, metrics = make_stack(duration=1e4)
+    echo_server(sim, listener)
+    client = EmulatedClient(
+        sim, 0, listener, duplex, workload, metrics,
+        np.random.default_rng(17), sessions_limit=2,
+    )
+    process = sim.process(client.run())
+    sim.run(until=1e4)
+    assert not process.is_alive
+    assert client.sessions_attempted == 2
+    assert metrics.sessions_completed == 2
+
+
 def test_client_timeout_on_silent_server():
     sim, _m, listener, duplex, workload, metrics = make_stack()
 
