@@ -31,7 +31,6 @@ class Selector:
         self._interest: Dict[Connection, int] = {}
         self._queued: Set[Tuple[int, int]] = set()  # (id(conn), kind)
         self._ready: Store = Store(sim)
-        self.events_queued = 0
 
     # -- registration ------------------------------------------------------
     def register(self, conn: Connection, mask: int) -> None:
@@ -111,4 +110,3 @@ class Selector:
             return
         self._queued.add(key)
         self._ready.put((conn, kind))
-        self.events_queued += 1

@@ -479,7 +479,6 @@ class ListenSocket:
         self.syns_dropped = 0
         self.syns_shed = 0  # the subset of drops decided by policy
         self.handshakes_completed = 0
-        self.accepted = 0
         self.dead_on_accept = 0
         self.early_closed = 0
         self.backlog_peak = 0
@@ -631,23 +630,4 @@ class ListenSocket:
             conn.accepted_by_app = True
             if conn.span is not None:
                 conn.span.mark("accept")
-            self.accepted += 1
-            return conn
-
-    def try_accept(self) -> Optional[Connection]:
-        """Non-blocking accept; returns ``None`` when the backlog is empty."""
-        while True:
-            conn = self._backlog.try_get()
-            if conn is None:
-                return None
-            if conn.dead:
-                self.dead_on_accept += 1
-                conn._free_kernel_bytes()
-                continue
-            if not self._admit_dequeued(conn):
-                continue
-            conn.accepted_by_app = True
-            if conn.span is not None:
-                conn.span.mark("accept")
-            self.accepted += 1
             return conn

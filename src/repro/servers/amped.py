@@ -18,17 +18,16 @@ which are cancelled when their race settles.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Optional
 
 from ..http.protocol import HttpSemantics
-from ..net.selector import READ, WRITE, Selector
+from ..net.selector import READ
 from ..net.tcp import EOF, Connection, ListenSocket
 from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..sim.core import Simulator
 from ..sim.resources import Store
-from .base import Server
+from .base import SelectorServer, _ChannelState
 
 __all__ = ["AmpedServer"]
 
@@ -36,18 +35,7 @@ __all__ = ["AmpedServer"]
 IO_DONE = 4
 
 
-class _ConnState:
-    """Mirror of the event-driven server's per-channel write queue."""
-
-    __slots__ = ("queue", "remaining", "closed")
-
-    def __init__(self) -> None:
-        self.queue: Deque[int] = deque()
-        self.remaining = 0
-        self.closed = False
-
-
-class AmpedServer(Server):
+class AmpedServer(SelectorServer):
     """Single event loop + helper threads for blocking file I/O."""
 
     name = "amped"
@@ -66,15 +54,10 @@ class AmpedServer(Server):
         if helpers < 1:
             raise ValueError("need at least one helper")
         self.helpers = helpers
-        self.selector = Selector(sim)
         self.io_queue: Store = Store(sim)
         self.io_completions = 0
-        self._states: Dict[Connection, _ConnState] = {}
 
-    def start(self) -> None:
-        if self.started:
-            raise RuntimeError("server already started")
-        self.started = True
+    def _spawn(self) -> None:
         registry = self.machine.threads
         registry.spawn(f"{self.name}-acceptor")
         registry.spawn(f"{self.name}-loop")
@@ -85,14 +68,6 @@ class AmpedServer(Server):
             self.sim.process(self._helper(i), name=f"{self.name}-helper-{i}")
 
     # ------------------------------------------------------------------
-    def _acceptor(self):
-        while True:
-            conn = yield from self.listener.accept()
-            yield self._exec("accept", self.costs.accept)
-            self.connections_handled += 1
-            self._states[conn] = _ConnState()
-            self.selector.register(conn, READ)
-
     def _helper(self, index: int):
         """Absorb file-lookup (disk) work off the event loop."""
         while True:
@@ -123,15 +98,14 @@ class AmpedServer(Server):
                     continue
             yield from self._pump_writes(conn, state)
 
-    def _drain_reads(self, conn: Connection, state: _ConnState):
+    def _drain_reads(self, conn: Connection, state: _ChannelState):
         """Parse readable requests; hand file work to helpers."""
         while True:
             item = conn.try_recv()
             if item is None:
                 return False
             if item is EOF:
-                yield self._exec("close", self.costs.close)
-                self._close(conn, state)
+                yield from self._close(conn, state)
                 return True
             # Loop does the protocol part only; disk goes to a helper.
             if conn.span is not None:
@@ -142,41 +116,6 @@ class AmpedServer(Server):
             self.io_queue.put(
                 (conn, self.semantics.response_wire_bytes(item))
             )
-
-    def _pump_writes(self, conn: Connection, state: _ConnState):
-        chunk = self.semantics.chunk_bytes
-        while True:
-            if state.remaining == 0:
-                if not state.queue:
-                    break
-                state.remaining = state.queue.popleft()
-                if conn.span is not None:
-                    conn.span.mark("tx_start")
-            if not conn.peer_alive:
-                yield self._exec("close", self.costs.close)
-                self._close(conn, state)
-                return
-            n = min(chunk, state.remaining, conn.sndbuf - conn.in_flight)
-            if n <= 0:
-                self.selector.set_interest(conn, READ | WRITE)
-                return
-            yield self._exec("transmit", self._chunk_cost(n))
-            conn.server_send_chunk(n, last=(state.remaining == n))
-            state.remaining -= n
-            if state.remaining == 0:
-                self.requests_served += 1
-                if not self.semantics.keep_alive:
-                    yield self._exec("close", self.costs.close)
-                    self._close(conn, state)
-                    return
-                yield self._exec("keepalive", self.costs.keepalive_check)
-        self.selector.set_interest(conn, READ)
-
-    def _close(self, conn: Connection, state: _ConnState) -> None:
-        state.closed = True
-        self.selector.unregister(conn)
-        conn.server_close()
-        self._states.pop(conn, None)
 
     def stats(self):
         out = super().stats()

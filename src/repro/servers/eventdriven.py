@@ -25,16 +25,15 @@ settles.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Optional
 
 from ..http.protocol import HttpSemantics
-from ..net.selector import READ, WRITE, Selector
+from ..net.selector import READ
 from ..net.tcp import EOF, Connection, ListenSocket
 from ..osmodel.costs import CostModel
 from ..osmodel.machine import Machine
 from ..sim.core import Simulator
-from .base import Server
+from .base import SelectorServer, _ChannelState
 
 __all__ = ["EventDrivenServer"]
 
@@ -42,22 +41,7 @@ __all__ = ["EventDrivenServer"]
 DEFAULT_JVM_FACTOR = 1.05
 
 
-class _ConnState:
-    """Per-channel write queue and reentrancy guard."""
-
-    __slots__ = ("queue", "remaining", "busy", "deferred", "closed",
-                 "last_activity")
-
-    def __init__(self, now: float = 0.0) -> None:
-        self.queue: Deque[int] = deque()  # response byte counts to write
-        self.remaining = 0  # bytes left of the in-progress response
-        self.busy = False
-        self.deferred = False
-        self.closed = False
-        self.last_activity = now  # for the (optional) idle sweeper
-
-
-class EventDrivenServer(Server):
+class EventDrivenServer(SelectorServer):
     """NIO-style selector + worker-thread server."""
 
     name = "nio"
@@ -75,7 +59,15 @@ class EventDrivenServer(Server):
         overload=None,
     ) -> None:
         base_costs = (costs or CostModel()).scaled(jvm_factor)
-        super().__init__(sim, machine, listener, semantics, base_costs, overload)
+        # "shared": one selector whose ready set all workers drain (the
+        # paper's nio design).  "partitioned": one selector per worker and
+        # round-robin channel assignment (the Netty/event-loop-group
+        # design) — no cross-worker contention, but load can skew.
+        n_selectors = workers if selector_strategy == "partitioned" else 1
+        super().__init__(
+            sim, machine, listener, semantics, base_costs, overload,
+            selectors=n_selectors,
+        )
         if workers < 1:
             raise ValueError("need at least one worker thread")
         if selector_strategy not in ("shared", "partitioned"):
@@ -83,28 +75,11 @@ class EventDrivenServer(Server):
                 f"unknown selector strategy {selector_strategy!r}"
             )
         self.workers = workers
-        self.jvm_factor = jvm_factor
         self.selector_strategy = selector_strategy
-        # "shared": one selector whose ready set all workers drain (the
-        # paper's nio design).  "partitioned": one selector per worker and
-        # round-robin channel assignment (the Netty/event-loop-group
-        # design) — no cross-worker contention, but load can skew.
-        n_selectors = workers if selector_strategy == "partitioned" else 1
-        self.selectors = [Selector(sim) for _ in range(n_selectors)]
-        self._assign_seq = 0
         self.events_processed = 0
         self.idle_reaps = 0
-        self._states: Dict[Connection, _ConnState] = {}
 
-    @property
-    def selector(self) -> Selector:
-        """The selector (shared mode) or the first one (partitioned)."""
-        return self.selectors[0]
-
-    def start(self) -> None:
-        if self.started:
-            raise RuntimeError("server already started")
-        self.started = True
+    def _spawn(self) -> None:
         registry = self.machine.threads
         registry.spawn(f"{self.name}-acceptor")
         for i in range(self.workers):
@@ -120,17 +95,6 @@ class EventDrivenServer(Server):
             self.sim.process(self._sweeper(), name=f"{self.name}-sweeper")
 
     # ------------------------------------------------------------------
-    def _acceptor(self):
-        """Continuously drain the kernel backlog into a selector."""
-        while True:
-            conn = yield from self.listener.accept()
-            yield self._exec("accept", self.costs.accept)
-            self.connections_handled += 1
-            self._states[conn] = _ConnState(self.sim.now)
-            selector = self.selectors[self._assign_seq % len(self.selectors)]
-            self._assign_seq += 1
-            selector.register(conn, READ)
-
     def _worker(self, index: int):
         """Select -> dispatch -> handle loop."""
         selector = self.selectors[index % len(self.selectors)]
@@ -154,7 +118,7 @@ class EventDrivenServer(Server):
             state.busy = False
 
     # ------------------------------------------------------------------
-    def _handle(self, conn: Connection, state: _ConnState, kind: int):
+    def _handle(self, conn: Connection, state: _ChannelState, kind: int):
         """Drain readable data, then pump non-blocking writes."""
         state.last_activity = self.sim.now
         if kind == READ:
@@ -163,46 +127,11 @@ class EventDrivenServer(Server):
                 if item is None:
                     break
                 if item is EOF:
-                    yield self._exec("close", self.costs.close)
-                    self._close(conn, state)
+                    yield from self._close(conn, state)
                     return
                 yield from self._service_burst(conn)
                 state.queue.append(self.semantics.response_wire_bytes(item))
         yield from self._pump_writes(conn, state)
-
-    def _pump_writes(self, conn: Connection, state: _ConnState):
-        """Write until done or EWOULDBLOCK; manage interest ops."""
-        chunk = self.semantics.chunk_bytes
-        while True:
-            if state.remaining == 0:
-                if not state.queue:
-                    break
-                state.remaining = state.queue.popleft()
-                if conn.span is not None:
-                    conn.span.mark("tx_start")
-            if not conn.peer_alive:
-                yield self._exec("close", self.costs.close)
-                self._close(conn, state)
-                return
-            room = conn.sndbuf - conn.in_flight
-            n = min(chunk, state.remaining, room)
-            if n <= 0:
-                # EWOULDBLOCK: wait for writability, keep reading too.
-                if conn.watcher is not None:
-                    conn.watcher.set_interest(conn, READ | WRITE)
-                return
-            yield self._exec("transmit", self._chunk_cost(n))
-            conn.server_send_chunk(n, last=(state.remaining == n))
-            state.remaining -= n
-            if state.remaining == 0:
-                self.requests_served += 1
-                if not self.semantics.keep_alive:
-                    yield self._exec("close", self.costs.close)
-                    self._close(conn, state)
-                    return
-                yield self._exec("keepalive", self.costs.keepalive_check)
-        if conn.watcher is not None:
-            conn.watcher.set_interest(conn, READ)
 
     def _sweeper(self):
         """Reap channels idle past the adaptive timeout (opt-in only).
@@ -230,15 +159,7 @@ class EventDrivenServer(Server):
                 if state.closed or state.busy:
                     continue
                 self.idle_reaps += 1
-                yield self._exec("close", self.costs.close)
-                self._close(conn, state)
-
-    def _close(self, conn: Connection, state: _ConnState) -> None:
-        state.closed = True
-        if conn.watcher is not None:
-            conn.watcher.unregister(conn)
-        conn.server_close()
-        self._states.pop(conn, None)
+                yield from self._close(conn, state)
 
     def stats(self):
         out = super().stats()

@@ -78,18 +78,14 @@ class ThreadPoolServer(Server):
         self.max_spare = max_spare
         self.manager_interval = manager_interval
         self.idle_reaps = 0
-        self.keepalive_requests = 0
         self.idle_workers = 0
         self.live_workers = 0
         self.spawn_failures = 0
         self._retire_requests = 0
         self._worker_seq = 0
 
-    def start(self) -> None:
+    def _spawn(self) -> None:
         """Spawn the pool (static: all up front; dynamic: initial batch)."""
-        if self.started:
-            raise RuntimeError("server already started")
-        self.started = True
         if self.dynamic:
             for _ in range(self.initial_threads):
                 self._spawn_worker()
@@ -181,35 +177,16 @@ class ThreadPoolServer(Server):
             yield from self._service_burst(conn)
             if not conn.peer_alive:
                 break
-            sent_ok = yield from self._blocking_send(conn, request)
+            sent_ok = yield from self._blocking_send(
+                conn, self.semantics.response_wire_bytes(request)
+            )
             if not sent_ok:
                 break
             self.requests_served += 1
             if not self.semantics.keep_alive:
                 break
-            self.keepalive_requests += 1
             yield self._exec("keepalive", self.costs.keepalive_check)
-        yield self._exec("close", self.costs.close)
-        conn.server_close()
-
-    def _blocking_send(self, conn: Connection, request) -> object:
-        """Generator: write the full response with blocking write(2) calls.
-
-        Returns False if the client disappeared mid-response.
-        """
-        chunk = self.semantics.chunk_bytes
-        remaining = self.semantics.response_wire_bytes(request)
-        if conn.span is not None:
-            conn.span.mark("tx_start")
-        while remaining > 0:
-            n = min(chunk, remaining)
-            yield from conn.wait_writable(n)
-            if not conn.peer_alive or conn.server_closed:
-                return False
-            yield self._exec("transmit", self._chunk_cost(n))
-            conn.server_send_chunk(n, last=(remaining == n))
-            remaining -= n
-        return True
+        yield from self._close(conn)
 
     def stats(self):
         out = super().stats()

@@ -11,6 +11,14 @@ every complete experiment — client workload, TCP model, server
 architecture, CPU model, metrics pipeline — must produce the
 byte-identical RunMetrics row it produced then.
 
+``SERVER_POINTS`` pin the server paths the points above leave
+uncovered — partitioned selectors, the multi-worker deferred path, the
+dynamic httpd pool, the adaptive-timeout sweeper, multi-thread staged
+and amped, and close-per-reply HTTP/1.0 on every architecture.  Their
+digests were captured at commit ``7e5d738``, the last commit before the
+four architectures were moved onto one shared acceptor, write pump,
+blocking writer and close path in ``repro.servers.base``.
+
 Digest: sha256 of ``json.dumps(metrics.row(), sort_keys=True)``.
 """
 
@@ -24,7 +32,9 @@ from repro.core.params import ServerSpec, WorkloadSpec
 from repro.core.scenarios import OVERLOAD_UP, UP_FAST_ETHERNET
 from repro.net.topology import NetworkSpec
 from repro.osmodel.machine import MachineSpec
+from repro.overload import AdaptiveTimeout, OverloadControl
 from repro.workload.fluid import FluidClass, FluidConfig
+from repro.workload.httperf import HttperfConfig
 
 UP, SMP = MachineSpec(cpus=1), MachineSpec(cpus=4)
 DSL = FluidClass("dsl", weight=1.0, bandwidth_bps=8e6, rtt_s=0.06)
@@ -101,6 +111,66 @@ AGGREGATE = {
     ),
 }
 
+#: label -> (server, machine, clients, httperf override or None), run on
+#: gigabit with warmup 4 s, duration 3 s, seed 42.  The adaptive-timeout
+#: point reaps 182 idle channels through the nio sweeper (the default
+#: 15 s base reaps none); the HTTP/1.0 points close after every reply.
+HTTP10 = HttperfConfig(new_connection_per_request=True)
+SERVER_POINTS = {
+    "nio-2-partitioned-smp": (
+        ServerSpec("nio", 2, selector_strategy="partitioned"), SMP, 1200,
+        None,
+    ),
+    "nio-3-smp": (ServerSpec.nio(3), SMP, 1200, None),
+    "httpd-dynamic-up": (
+        ServerSpec("httpd", 1024, dynamic_pool=True), UP, 900, None
+    ),
+    "nio-adaptive-timeout-up": (
+        ServerSpec(
+            "nio", 1,
+            overload=OverloadControl(
+                timeout=AdaptiveTimeout(base=2.0, floor=1.0, gain=0.0)
+            ),
+        ),
+        UP, 600, None,
+    ),
+    "staged-2-smp": (ServerSpec.staged(2), SMP, 1200, None),
+    "amped-3-smp": (ServerSpec.amped(3), SMP, 1200, None),
+    "nio-http10-up": (ServerSpec("nio", 1, keep_alive=False), UP, 600, HTTP10),
+    "httpd-http10-up": (
+        ServerSpec("httpd", 64, keep_alive=False), UP, 600, HTTP10
+    ),
+    "staged-http10-up": (
+        ServerSpec("staged", 1, keep_alive=False), UP, 600, HTTP10
+    ),
+    "amped-http10-up": (
+        ServerSpec("amped", 1, helpers=2, keep_alive=False), UP, 600, HTTP10
+    ),
+}
+
+SERVER_DIGESTS = {
+    "nio-2-partitioned-smp":
+        "677583cc14f41847beeee74a47049f2f248cb1126949703c511186442f629a28",
+    "nio-3-smp":
+        "bc667a1701ab4db775fd65c063ea65e9c9f84e400e4bc3339c9fa003a635501b",
+    "httpd-dynamic-up":
+        "af73443bb7ef39f72a37397099054ddb158af7e3bb569607c0afe7d28d7d8e1a",
+    "nio-adaptive-timeout-up":
+        "95a9ec3120c126696ba318e8811a37a61ebbf6920925113166d826e1230681de",
+    "staged-2-smp":
+        "807b3e684a7fb43f6ae7a3db2e85663c960cdc30909ed7a6218350126b27d734",
+    "amped-3-smp":
+        "b3684a33145e6fe9c0cc6efd7a9a0c6fc41dc1989eac575d60faa57057659dec",
+    "nio-http10-up":
+        "5de0202804f79f7bdac7aa19247f4ebece552f405708a6453eaf903a8cc5e7bc",
+    "httpd-http10-up":
+        "64399143c9cfcdbf7e2cda3d8f73196717a4fd34d919b457706a0ad3ca324f49",
+    "staged-http10-up":
+        "4d4edcb24833a37cad1329f9329131252b77ea5ba5336707ae2dd3ea69bcaaa1",
+    "amped-http10-up":
+        "ebd9d86dd568c19531e409338fb4930dc69485750ca9d8d509f8b56009b6d260",
+}
+
 
 def _digest(row):
     return hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
@@ -137,3 +207,22 @@ def test_aggregate_fluid_row_matches_captured_digest(label):
     ).run().row()
     assert row["replies/s"] > 0
     assert _digest(row) == digest
+
+
+@pytest.mark.parametrize("label", sorted(SERVER_POINTS))
+def test_server_path_row_matches_digest_captured_before_the_shared_skeleton(
+    label,
+):
+    spec, machine, clients, httperf = SERVER_POINTS[label]
+    overrides = {} if httperf is None else {"httperf": httperf}
+    row = Experiment(
+        server=spec,
+        workload=WorkloadSpec(
+            clients=clients, duration=3.0, warmup=4.0, **overrides
+        ),
+        machine=machine,
+        network=NetworkSpec.gigabit(),
+        seed=42,
+    ).run().row()
+    assert row["replies/s"] > 0
+    assert _digest(row) == SERVER_DIGESTS[label]

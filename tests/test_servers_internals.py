@@ -8,8 +8,22 @@ from repro.http import HttpSemantics, Request
 from repro.net import Connection, ListenSocket
 from repro.net.link import DuplexLink
 from repro.osmodel import Machine, MachineSpec, MemoryExhausted
-from repro.servers import EventDrivenServer, ThreadPoolServer
+from repro.servers import (
+    AmpedServer,
+    EventDrivenServer,
+    StagedServer,
+    ThreadPoolServer,
+)
 from repro.sim import Simulator
+
+
+#: One small instance of each architecture, keyed by its ServerSpec kind.
+ARCHITECTURES = {
+    "nio": lambda sim, m, lsn: EventDrivenServer(sim, m, lsn, workers=1),
+    "httpd": lambda sim, m, lsn: ThreadPoolServer(sim, m, lsn, pool_size=2),
+    "staged": lambda sim, m, lsn: StagedServer(sim, m, lsn),
+    "amped": lambda sim, m, lsn: AmpedServer(sim, m, lsn, helpers=1),
+}
 
 
 def make_stack(cpus=1, bandwidth=1e7, memory=2 * 1024**3, sndbuf=64 * 1024):
@@ -121,6 +135,41 @@ def test_thread_server_client_vanishing_mid_response():
     assert machine.memory.used_bytes == server.pool_size * machine.threads.default_stack_bytes
 
 
+#: case -> (link bandwidth, close times).  On the slow link the server
+#: end closes while the writer waits for socket-buffer room; on gigabit
+#: the reply is CPU-bound, so most close times land while a chunk's
+#: write(2) burst is on the CPU.
+CLOSE_CASES = {
+    "waiting": (1e7, (0.05,)),
+    "writing": (1e9, tuple(0.001 + 0.0004 * k for k in range(20))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSE_CASES))
+@pytest.mark.parametrize("kind", sorted(ARCHITECTURES))
+def test_server_end_closed_from_outside_mid_reply(kind, case):
+    # A cluster replica dying server-closes its connections while a
+    # reply is still being written; the writer must notice, not crash.
+    bandwidth, close_times = CLOSE_CASES[case]
+    for close_at in close_times:
+        sim, machine, listener, duplex = make_stack(bandwidth=bandwidth)
+        server = ARCHITECTURES[kind](sim, machine, listener)
+        server.start()
+        conn = Connection(sim, duplex, listener)
+
+        def proc(conn=conn):
+            yield from conn.connect()
+            pending = yield from conn.send_request(
+                Request(path="/big", response_bytes=2_000_000)
+            )
+            yield from conn.await_response(pending, 50.0, 500.0)
+
+        sim.process(proc())
+        sim.call_later(close_at, conn.server_close)
+        sim.run(until=5.0)
+        assert server.requests_served == 0
+
+
 def test_event_server_partial_writes_with_tiny_sndbuf():
     sim, machine, listener, duplex = make_stack()
     server = EventDrivenServer(sim, machine, listener, workers=1)
@@ -162,9 +211,10 @@ def test_event_server_respects_jvm_thread_limit():
         server.start()
 
 
-def test_server_start_twice_rejected():
+@pytest.mark.parametrize("kind", sorted(ARCHITECTURES))
+def test_server_start_twice_rejected(kind):
     sim, machine, listener, _d = make_stack()
-    server = EventDrivenServer(sim, machine, listener, workers=1)
+    server = ARCHITECTURES[kind](sim, machine, listener)
     server.start()
     with pytest.raises(RuntimeError):
         server.start()
